@@ -462,9 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, default=0, help="seed for randomized suites"
     )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="worker cap (currently 1)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("complete-mapping", help="search for a complete mapping")

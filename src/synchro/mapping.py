@@ -55,16 +55,18 @@ def hall_paige_predicate(g: FiniteGroup) -> bool:
 def find_complete_mapping(
     g: FiniteGroup, budget: int = DEFAULT_BUDGET
 ) -> SearchResult:
-    """Depth-first search for the lexicographically first complete mapping.
+    """Deterministic exact-cover search for a complete mapping.
 
-    phi is assigned on elements in table order; two bitmask 'used' sets
-    (phi-images and psi-images) prune the tree.  A necessary condition
-    in the abelianization (any completion must balance the coset sums of
-    the unassigned rows, free phi-values and free psi-values) prunes
-    dead branches, and in particular refutes groups whose product of
-    all elements falls outside the derived subgroup at the root.  Budget
-    exhaustion is a distinct outcome, never conflated with a completed
-    refutation.
+    A complete mapping is a transversal of the Cayley Latin square: the
+    items are rows x, phi-values v and psi-values x*v, and option
+    x*n + v covers all three.  Knuth's Algorithm X ("Dancing Links",
+    arXiv cs/0011047) branches on the item with fewest options left,
+    smallest item first, trying its options in ascending order; the
+    same group always yields the same mapping and node count.  `nodes`
+    counts option selections.  Groups whose product of all elements
+    falls outside the derived subgroup are refuted at the root (Hall and
+    Paige's balance condition).  Budget exhaustion is a distinct
+    outcome, never conflated with a completed refutation.
     """
     n = g.order
     if n % 2 == 1:
@@ -74,90 +76,68 @@ def find_complete_mapping(
         return SearchResult(
             SearchStatus.FOUND, CompleteMapping(g, ident), nodes=0
         )
-    phi = [0] * n
-    nodes = 0
-    table = g.table
-    full = (1 << n) - 1
     quot, coset = abelianization(g)
-    qadd = quot.table
-    qinv = quot.inverses if quot.order > 1 else None
-    # per-row watched column: the last value known feasible for that row,
-    # rechecked first so the forward check is usually O(1) per future row
-    watch = [0] * n
-
-    def extend(
-        x: int, used_phi: int, used_psi: int, sr: int, sp: int, ss: int
-    ) -> SearchStatus | None:
-        nonlocal nodes
-        if x == n:
-            return SearchStatus.FOUND
-        # coset-sum balance: remaining psi values must sum (in G/G') to
-        # the sum of the remaining rows plus the sum of the free values
-        if qinv is not None and ss != qadd[sr][sp]:
-            return None
-        row = table[x]
-        nsr = qadd[sr][qinv[coset[x]]] if qinv is not None else 0
-        for v in range(n):
-            bit_v = 1 << v
-            if used_phi & bit_v:
-                continue
-            w = row[v]
-            bit_w = 1 << w
-            if used_psi & bit_w:
-                continue
-            nodes += 1
-            if nodes > budget:
-                return SearchStatus.BUDGET_EXHAUSTED
-            up = used_phi | bit_v
-            us = used_psi | bit_w
-            free_phi = full & ~up
-            free_psi = full & ~us
-            # forward check: every unassigned row must retain a feasible
-            # (phi-value, psi-value) pair
-            feasible = True
-            for y in range(x + 1, n):
-                ry = table[y]
-                wv = watch[y]
-                if (free_phi >> wv & 1) and (free_psi >> ry[wv] & 1):
-                    continue
-                m = free_phi
-                found = False
-                while m:
-                    low = m & -m
-                    vv = low.bit_length() - 1
-                    if free_psi >> ry[vv] & 1:
-                        watch[y] = vv
-                        found = True
-                        break
-                    m ^= low
-                if not found:
-                    feasible = False
-                    break
-            if feasible:
-                phi[x] = v
-                if qinv is not None:
-                    res = extend(
-                        x + 1,
-                        up,
-                        us,
-                        nsr,
-                        qadd[sp][qinv[coset[v]]],
-                        qadd[ss][qinv[coset[w]]],
-                    )
-                else:
-                    res = extend(x + 1, up, us, 0, 0, 0)
-                if res is not None:
-                    return res
-        return None
-
-    sigma = 0
+    sigma = quot.identity
     for x in range(n):
-        sigma = qadd[sigma][coset[x]]
-    res = extend(0, 0, 0, sigma, sigma, sigma)
-    if res is SearchStatus.FOUND:
-        mapping = CompleteMapping(g, tuple(phi))
-        assert verify_complete_mapping(g, mapping.phi)
-        return SearchResult(SearchStatus.FOUND, mapping, nodes)
-    if res is SearchStatus.BUDGET_EXHAUSTED:
-        return SearchResult(SearchStatus.BUDGET_EXHAUSTED, None, nodes)
+        sigma = quot.mul(sigma, coset[x])
+    if sigma != quot.identity:
+        return SearchResult(SearchStatus.NOT_FOUND, None, 0)
+
+    options = [
+        (x, n + v, 2 * n + w)
+        for x, row in enumerate(g.table)
+        for v, w in enumerate(row)
+    ]
+    cols: dict[int, set[int]] = {item: set() for item in range(3 * n)}
+    for r, opt in enumerate(options):
+        for item in opt:
+            cols[item].add(r)
+
+    def branch() -> list[int]:
+        # options of the most constrained item, reversed so pop() ascends
+        item = min(cols, key=lambda i: (len(cols[i]), i))
+        return sorted(cols[item], reverse=True)
+
+    def select(r: int) -> list[set[int]]:
+        removed = []
+        for j in options[r]:
+            for i in cols[j]:
+                for k in options[i]:
+                    if k != j:
+                        cols[k].discard(i)
+            removed.append(cols.pop(j))
+        return removed
+
+    def deselect(r: int, removed: list[set[int]]) -> None:
+        for j in reversed(options[r]):
+            cols[j] = removed.pop()
+            for i in cols[j]:
+                for k in options[i]:
+                    if k != j:
+                        cols[k].add(i)
+
+    nodes = 0
+    path: list[tuple[int, list[set[int]]]] = []
+    stack = [branch()]
+    while stack:
+        if len(path) == len(stack):
+            # back from a failed subtree: undo this level's last choice
+            deselect(*path.pop())
+        if not stack[-1]:
+            stack.pop()
+            continue
+        r = stack[-1].pop()
+        nodes += 1
+        if nodes > budget:
+            return SearchResult(SearchStatus.BUDGET_EXHAUSTED, None, nodes)
+        path.append((r, select(r)))
+        if not cols:
+            phi = [0] * n
+            for chosen, _ in path:
+                x, v = divmod(chosen, n)
+                phi[x] = v
+            mapping = CompleteMapping(g, tuple(phi))
+            assert verify_complete_mapping(g, mapping.phi)
+            return SearchResult(SearchStatus.FOUND, mapping, nodes)
+        stack.append(branch())
     return SearchResult(SearchStatus.NOT_FOUND, None, nodes)

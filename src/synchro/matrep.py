@@ -386,7 +386,10 @@ class _WordParser:
 
 
 def parse_word(text: str):
-    return _WordParser(text).parse()
+    try:
+        return _WordParser(text).parse()
+    except RecursionError:
+        raise WordError("word nested too deeply") from None
 
 
 def eval_word(env: dict, word):
@@ -437,7 +440,10 @@ def eval_word(env: dict, word):
             return x.inverse() * y.inverse() * x * y
         raise WordError(f"bad node {tag!r}")
 
-    return ev(word)
+    try:
+        return ev(word)
+    except RecursionError:
+        raise WordError("word nested too deeply") from None
 
 
 def standard_environment(a: BitMatrix, b: BitMatrix) -> dict:

@@ -84,13 +84,6 @@ def orbital_decomposition(g: PermGroup, base: int) -> OrbitalDecomposition:
     )
 
 
-def orbital_label(dec: OrbitalDecomposition, suborbit_of, u: int, v: int):
-    """Index of the orbital containing the pair (u, v), via a transversal
-    element carrying u back to the base."""
-    rep = dec.transversal[suborbit_of[u]]
-    return suborbit_of[rep.inverse()(v)]
-
-
 def _suborbit_of_map(dec: OrbitalDecomposition) -> dict[int, int]:
     out = {}
     for i, orb in enumerate(dec.suborbits):

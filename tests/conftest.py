@@ -39,8 +39,8 @@ def a5():
 
 @pytest.fixture(scope="session")
 def a5_mapping(a5):
-    """Complete mapping of A5 (odd-order shortcut does not apply; this
-    runs the full search once per session)."""
+    """Complete mapping of A5 (even order, so the odd-order shortcut does
+    not apply and the exact-cover search runs, once per session)."""
     result = mapping.find_complete_mapping(a5)
     assert result.status is mapping.SearchStatus.FOUND
     return result.mapping

@@ -4,6 +4,7 @@ import pytest
 
 from synchro import cli
 from synchro.chartab import bundled_table_path
+from synchro.matrep import BitMatrix, write_matrix_file
 
 
 def run(capsys, *argv):
@@ -198,6 +199,19 @@ class TestErrorPaths:
         code, _, err = run(capsys, "complete-mapping", "--group", "monster")
         assert code == 2
         assert "error" in err
+
+    def test_deeply_nested_word_is_a_usage_error(self, capsys, tmp_path):
+        gens = tmp_path / "gens.txt"
+        swap = BitMatrix.from_entries(2, [[0, 1], [1, 0]])
+        write_matrix_file([swap, BitMatrix.identity(2, 2)], gens)
+        deep = "(" * 3000 + "a" + ")" * 3000
+        code, out, err = run(
+            capsys, "matrep", "--gens", str(gens), "--fingerprint", deep, "a"
+        )
+        assert code == 2
+        assert out == ""
+        assert "word nested too deeply" in err
+        assert "Traceback" not in err
 
     def test_reproduce_without_data_exits_3(self, capsys, tmp_path):
         for target in ("table1", "table2", "A2", "A4", "entry-lists"):

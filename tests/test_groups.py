@@ -122,6 +122,19 @@ class TestCatalog:
             if g.order <= 24:
                 g.check_axioms()
 
+    def test_inverses(self, small_catalog):
+        for spec, g in small_catalog:
+            for a in range(g.order):
+                assert g.mul(a, g.inv(a)) == g.identity, spec
+            assert g.inverses == tuple(map(g.inv, range(g.order))), spec
+
+    def test_missing_inverse_rejected(self):
+        # a row without the identity: reported on every read, never cached
+        g = FiniteGroup(2, ((0, 1), (1, 1)))
+        for _ in range(2):
+            with pytest.raises(GroupFormatError, match="element 1"):
+                g.inv(0)
+
     def test_dihedral_nonabelian(self):
         assert not dihedral_group(8).is_abelian()
         assert dihedral_group(4).is_abelian()

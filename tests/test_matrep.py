@@ -167,6 +167,11 @@ class TestWords:
         with pytest.raises(WordError):
             parse_word("(xy")
 
+    def test_too_deep_to_evaluate(self, env):
+        # a '^' chain parses flat but nests one evaluation level per '^'
+        with pytest.raises(WordError, match="nested too deeply"):
+            eval_word(env, "x" + "^y" * 3000)
+
     def test_standard_environment_derived_names(self):
         a = perm_matrix(parse_permutation("(0 1)", 5))
         b = perm_matrix(parse_permutation("(0 1 2 3 4)", 5))
