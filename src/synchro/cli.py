@@ -1,8 +1,9 @@
 """Command-line entry point wiring all modules.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 missing
-external data.  Primary outputs are deterministic JSON (sorted keys, no
-timestamps), so identical invocations produce byte-identical files.
+external data, 4 resource exhausted (out of memory).  Primary outputs
+are deterministic JSON (sorted keys, no timestamps), so identical
+invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
+EXIT_RESOURCE = 4
 
 VERSION = "0.1.0"
 
@@ -563,6 +565,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory (resource exhausted)", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

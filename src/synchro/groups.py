@@ -208,6 +208,17 @@ class FiniteGroup:
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels else str(a)
 
+    def check_latin(self) -> None:
+        """Every row and every column is a permutation of the elements:
+        O(order^2), so it runs at every order."""
+        full = set(range(self.order))
+        for name, lines in (("row", self.table), ("column", zip(*self.table))):
+            for a, line in enumerate(lines):
+                if set(line) != full:
+                    raise GroupFormatError(
+                        f"{name} {a} repeats an element; not a Latin square"
+                    )
+
     def check_axioms(self) -> None:
         """Identity/inverse laws always; associativity on all triples
         (meant for order <= ~10^3)."""
@@ -226,30 +237,35 @@ class FiniteGroup:
                         )
 
 
-def group_closure(g: PermGroup, cap: int = 100_000) -> FiniteGroup:
-    """Materialize <generators> as an explicit table.
-
-    Element 0 is the identity; the rest come in breadth-first order,
-    applying generators in their listed order, so indices are reproducible.
-    """
+def enumerate_elements(g: PermGroup, cap: int = 100_000) -> list[Permutation]:
+    """Every element of <generators>: the identity first, the rest in
+    breadth-first order, applying generators in their listed order."""
     ident = g.identity()
     elements = [ident]
-    index = {ident: 0}
+    seen = {ident}
     frontier = [ident]
     while frontier:
         new_frontier = []
         for x in frontier:
             for gen in g.generators:
                 y = x * gen
-                if y not in index:
+                if y not in seen:
                     if len(elements) >= cap:
                         raise SizeOverflowError(
                             f"closure exceeds cap {cap}"
                         )
-                    index[y] = len(elements)
+                    seen.add(y)
                     elements.append(y)
                     new_frontier.append(y)
         frontier = new_frontier
+    return elements
+
+
+def group_closure(g: PermGroup, cap: int = 100_000) -> FiniteGroup:
+    """Materialize <generators> as an explicit table, indexed in the
+    order of `enumerate_elements`, so indices are reproducible."""
+    elements = enumerate_elements(g, cap)
+    index = {p: i for i, p in enumerate(elements)}
     n = len(elements)
     table = tuple(
         tuple(index[elements[a] * elements[b]] for b in range(n))
@@ -304,10 +320,13 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyClassing:
     )
 
 
-def orbit_and_stabilizer(
+def schreier_structure(
     g: PermGroup, point: int
-) -> tuple[list[int], PermGroup]:
-    """Orbit of the point plus Schreier generators of its stabilizer."""
+) -> tuple[list[int], dict[int, Permutation], PermGroup]:
+    """One breadth-first search from the point: its orbit (in BFS
+    order), a Schreier transversal u -> t_u with t_u(point) = u, and the
+    Schreier generators t_u * gen * t_gen(u)^-1 of the point stabilizer
+    (Seress, Permutation Group Algorithms, ch. 4)."""
     if point >= g.degree:
         raise GroupFormatError(f"point {point} out of range")
     transversal = {point: g.identity()}
@@ -329,7 +348,7 @@ def orbit_and_stabilizer(
             if not s.is_identity() and s not in seen:
                 seen.add(s)
                 stab_gens.append(s)
-    return orbit, PermGroup(g.degree, tuple(stab_gens))
+    return orbit, transversal, PermGroup(g.degree, tuple(stab_gens))
 
 
 def commutator_subgroup(g: FiniteGroup) -> frozenset[int]:
@@ -585,6 +604,7 @@ def read_group_file(path) -> FiniteGroup:
     if ident is None:
         raise GroupFormatError(f"{path}: table has no identity")
     g = FiniteGroup(order=n, table=table, identity=ident, labels=labels)
+    g.check_latin()
     if n <= 1000:
         g.check_axioms()
     return g

@@ -1,22 +1,26 @@
 """Suborbits, orbital pairing, collapsed adjacency matrices, and the
-intersection-algebra machinery for desk-scale transitive actions.
+intersection-algebra machinery for transitive actions.
 
 The suborbits of a transitive group are the orbits of a point
-stabilizer; each corresponds to an orbital graph, whose collapsed
-adjacency matrix A_i records, for a representative of each suborbit j,
-how its orbital-i neighbourhood distributes over the suborbits.  The
-matrices span an algebra of dimension equal to the rank, and any two
-matrices that generate the whole algebra recover the rest by linear
-algebra, which is how the double-coset checks scale past the point
-where direct counting is possible.
+stabilizer.  They come from one Schreier search (orbit, transversal and
+stabilizer generators), so no group element is listed and no
+multiplication table is built.  Each suborbit corresponds to an orbital
+graph, whose collapsed adjacency matrix A_i records, for a
+representative of each suborbit j, how its orbital-i neighbourhood
+distributes over the suborbits.  The matrices span an algebra of
+dimension equal to the rank, and any two matrices that generate the
+whole algebra recover the rest: the span is closed on first rows modulo
+the prime 2^61 - 1, and the lifted integer matrices are certified over Z
+by their structure constants.  That is how the double-coset checks
+scale past the point where direct counting is possible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
-from .groups import PermGroup, group_closure
+from .groups import PermGroup, schreier_structure
 
 
 class OrbitalError(Exception):
@@ -47,49 +51,37 @@ class CollapsedAdjacency:
 
 
 def orbital_decomposition(g: PermGroup, base: int) -> OrbitalDecomposition:
-    """Suborbits ordered by (size, least point) with {base} first;
-    pairing located via (base, x) <-> (x, base)."""
-    elements = group_closure(g, cap=10**6).perms
-    point_rep = {}
-    for perm in elements:
-        u = perm(base)
-        if u not in point_rep:
-            point_rep[u] = perm
-    if len(point_rep) != g.degree:
+    """Suborbits ordered by (size, least point) with {base} first.  One
+    Schreier search from the base gives the stabilizer generators, whose
+    orbits are the suborbits, and a transversal element t_x carrying the
+    base to x; suborbit x pairs with the suborbit holding t_x^-1(base)."""
+    orbit, transversal, stab = schreier_structure(g, base)
+    if len(orbit) != g.degree:
         raise OrbitalError("group is not transitive")
-    stab = [p for p in elements if p(base) == base]
-    unseen = set(range(g.degree))
+    seen = [False] * g.degree
     raw = []
-    while unseen:
-        x = min(unseen)
-        orb = sorted({p(x) for p in stab})
-        unseen -= set(orb)
-        raw.append(orb)
+    for x in range(g.degree):
+        if seen[x]:
+            continue
+        seen[x] = True
+        orb = [x]
+        for u in orb:
+            for s in stab.generators:
+                v = s(u)
+                if not seen[v]:
+                    seen[v] = True
+                    orb.append(v)
+        raw.append(sorted(orb))
     raw.sort(key=lambda orb: (orb != [base], len(orb), orb[0]))
-    suborbit_of = {}
-    for i, orb in enumerate(raw):
-        for x in orb:
-            suborbit_of[x] = i
-    pairing = []
-    for orb in raw:
-        x = orb[0]
-        rep = point_rep[x]
-        pairing.append(suborbit_of[rep.inverse()(base)])
-    transversal = tuple(point_rep[orb[0]] for orb in raw)
+    suborbit_of = {x: i for i, orb in enumerate(raw) for x in orb}
+    reps = tuple(transversal[orb[0]] for orb in raw)
+    pairing = tuple(suborbit_of[t.inverse()(base)] for t in reps)
     return OrbitalDecomposition(
         base,
         tuple(tuple(orb) for orb in raw),
-        tuple(pairing),
-        transversal,
+        pairing,
+        reps,
     )
-
-
-def _suborbit_of_map(dec: OrbitalDecomposition) -> dict[int, int]:
-    out = {}
-    for i, orb in enumerate(dec.suborbits):
-        for x in orb:
-            out[x] = i
-    return out
 
 
 def collapsed_adjacency(
@@ -99,7 +91,7 @@ def collapsed_adjacency(
     under the transversal element carrying the base to suborbit j's
     representative."""
     r = dec.rank
-    suborbit_of = _suborbit_of_map(dec)
+    suborbit_of = {x: k for k, orb in enumerate(dec.suborbits) for x in orb}
     matrix = []
     for j in range(r):
         tj = dec.transversal[j]
@@ -117,151 +109,147 @@ def collapsed_adjacency(
 # ---------------------------------------------------------------------------
 # intersection algebra
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+# the Mersenne prime 2^61 - 1: the span closure runs modulo P
+P = (1 << 61) - 1
 
 
-def _mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def _matmul(a, b, modulus=None):
+    cols = list(zip(*b))
+    if modulus is None:
+        return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) % modulus for col in cols] for row in a]
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    r = len(a)
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-        for row in a
-    )
-
-
-def _flatten(m: Matrix):
-    return [x for row in m for x in row]
-
-
-class _Span:
-    """Row-echelon span of flattened matrices over the rationals."""
-
-    def __init__(self, length: int):
-        self.length = length
-        self.pivots: dict[int, list[Fraction]] = {}
-
-    def reduce(self, vec):
-        vec = list(vec)
-        for col, row in self.pivots.items():
-            if vec[col]:
-                c = vec[col]
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return vec
-
-    def add(self, vec) -> bool:
-        vec = self.reduce(vec)
-        for col, x in enumerate(vec):
-            if x:
-                vec = [a / x for a in vec]
-                self.pivots[col] = vec
-                return True
-        return False
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
+def _identity(r):
+    return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
 
 
 def intersection_algebra_expand(a_p, a_q, rank: int):
-    """Close the span of {I, A_p, A_q} under products; recover, for each
-    orbital k, the unique algebra element whose first row is supported
-    on column k, rescaled so its single first-column entry is 1.  With
-    genuine collapsed adjacency matrices as input this reproduces every
-    A_k as an integer matrix.  Errors when the closure dimension is not
-    the stated rank."""
+    """Recover every collapsed matrix A_k from two that generate the
+    intersection algebra.
+
+    Row 0 of sum_k c_k A_k is (c_k s_k)_k, with s_k the k-th subdegree,
+    so first rows are faithful coordinates.  The span of {I, A_p, A_q}
+    is closed under products with A_p and A_q on both sides, on first
+    rows modulo P = 2^61 - 1.  For each k the element whose first row
+    is e_k is solved for, scaled so its single first-column entry is 1,
+    and lifted symmetrically to Z.
+
+    The lift is certified with integer products: A_0 = I; A_p and A_q
+    come back unchanged at the indices their first rows name; each A_k
+    has one nonzero in row 0 and a single 1 in column 0; and for a in
+    {p, q} and every b, A_a A_b = sum_c (s_a / s_c) (A_b)_{ac} A_c with
+    every coefficient an exact integer.  The span of the A_k then holds
+    I and is closed under left multiplication by A_p and A_q, so it
+    holds the algebra they generate, whose dimension is at least r as
+    the closure's first rows have rank r modulo P.  So each A_k is the
+    algebra's unique element with its first row and column, and an
+    unlucky prime can only cause a false OrbitalError, never a wrong
+    matrix.  Errors when the closure dimension is not the stated rank
+    or any check fails."""
     r = rank
-    mats = [
-        _mat([[1 if i == j else 0 for j in range(r)] for i in range(r)]),
-        _mat(a_p.matrix if isinstance(a_p, CollapsedAdjacency) else a_p),
-        _mat(a_q.matrix if isinstance(a_q, CollapsedAdjacency) else a_q),
+    gens = [
+        tuple(map(tuple, a.matrix if isinstance(a, CollapsedAdjacency) else a))
+        for a in (a_p, a_q)
     ]
-    if any(len(m) != r or any(len(row) != r for row in m) for m in mats):
+    if r < 1 or any(
+        len(m) != r or any(len(row) != r for row in m) for m in gens
+    ):
         raise OrbitalError("input matrices must be rank x rank")
-    span = _Span(r * r)
-    basis: list[Matrix] = []
-    for m in mats:
-        if span.add(_flatten(m)):
-            basis.append(m)
-    frontier = list(basis)
-    while frontier and span.dim < r:
+    words = []  # closure words whose first rows are independent mod P
+    # pivot column -> first row of a combination of words, then its word
+    # coefficients; kept fully reduced, so at rank r the row for column k
+    # is e_k and its coefficients give the element with that first row
+    pivots: dict[int, list[int]] = {}
+
+    def add(first_row) -> bool:
+        if len(words) == r:
+            return False
+        vec = [x % P for x in first_row] + [0] * r
+        vec[r + len(words)] = 1
+        for col, row in pivots.items():
+            if vec[col]:
+                c = vec[col]
+                vec = [(x - c * y) % P for x, y in zip(vec, row)]
+        col = next((j for j in range(r) if vec[j]), None)
+        if col is None:
+            return False
+        inv = pow(vec[col], -1, P)
+        vec = [x * inv % P for x in vec]
+        for other, row in pivots.items():
+            if row[col]:
+                c = row[col]
+                pivots[other] = [(x - c * y) % P for x, y in zip(row, vec)]
+        pivots[col] = vec
+        return True
+
+    for m in (_identity(r), *gens):
+        if add(m[0]):
+            words.append(m)
+    frontier = list(words)
+    while frontier and len(words) < r:
         new = []
         for m in frontier:
-            for g in mats[1:]:
-                for prod in (_matmul(m, g), _matmul(g, m)):
-                    if span.add(_flatten(prod)):
-                        basis.append(prod)
-                        new.append(prod)
+            for g in gens:
+                for left, right in ((m, g), (g, m)):
+                    # the first row of a product is left[0] * right, so the
+                    # product is formed in full only when that row is new
+                    if add(_matmul([left[0]], right)[0]):
+                        words.append(_matmul(left, right, P))
+                        new.append(words[-1])
         frontier = new
-    # confirm the span is closed under multiplication at dimension r
-    probe = _Span(r * r)
-    for m in basis:
-        probe.add(_flatten(m))
-    for m in basis:
-        for g in mats[1:]:
-            if probe.add(_flatten(_matmul(m, g))):
-                raise OrbitalError("span not closed at stated rank")
-    if span.dim != r:
+    if len(words) != r:
         raise OrbitalError(
-            f"intersection algebra has dimension {span.dim}, expected {r}"
+            f"intersection algebra has dimension {len(words)}, expected {r}"
         )
-    # solve for elements with first row e_k: first rows of the basis span
-    # the full row space, so the r x r system below is invertible
-    first_rows = [[m[0][j] for m in basis] for j in range(r)]
+    flat = [[x for row in w for x in row] for w in words]
+    coeffs = [pivots[k][r:] for k in range(r)]
     out = []
-    for k in range(r):
-        coeffs = _solve(first_rows, [Fraction(j == k) for j in range(r)])
-        elem = [
-            [
-                sum(c * m[i][j] for c, m in zip(coeffs, basis))
-                for j in range(r)
-            ]
-            for i in range(r)
-        ]
-        col = [elem[i][0] for i in range(r)]
-        nz = [x for x in col if x]
-        if len(nz) != 1 or sum(1 for x in elem[0] if x) != 1:
-            raise OrbitalError(
-                f"basis element {k} lacks weight-1 first row/column"
-            )
-        scale = nz[0]
-        scaled = [[x / scale for x in row] for row in elem]
-        ints = []
-        for row in scaled:
-            irow = []
-            for x in row:
-                if x.denominator != 1:
-                    raise OrbitalError(
-                        f"non-integral entry {x} in recovered matrix {k}"
-                    )
-                irow.append(int(x))
-            ints.append(tuple(irow))
-        out.append(CollapsedAdjacency(k, tuple(ints)))
+    for k, elem in enumerate(_matmul(coeffs, flat, P)):
+        col0 = [x for x in elem[::r] if x]
+        if len(col0) != 1:
+            raise OrbitalError(f"column 0 of A_{k} has {len(col0)} nonzeros")
+        inv = pow(col0[0], -1, P)
+        lifted = [x * inv % P for x in elem]
+        lifted = [x - P if x > P // 2 else x for x in lifted]
+        out.append(CollapsedAdjacency(k, tuple(
+            tuple(lifted[i * r:(i + 1) * r]) for i in range(r)
+        )))
+    _certify([ca.matrix for ca in out], gens)
     return out
 
 
-def _solve(matrix, rhs):
-    """Dense rational linear solve (Gaussian elimination)."""
-    n = len(rhs)
-    aug = [list(map(Fraction, row)) + [Fraction(rhs[i])]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next(
-            (i for i in range(col, n) if aug[i][col]), None
-        )
-        if piv is None:
-            raise OrbitalError("singular system in basis recovery")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def _certify(mats, gens) -> None:
+    """The integer checks listed in `intersection_algebra_expand`."""
+    r = len(mats)
+    if mats[0] != _identity(r):
+        raise OrbitalError("recovered A_0 is not the identity")
+    for k, m in enumerate(mats):
+        if [j for j, x in enumerate(m[0]) if x] != [k]:
+            raise OrbitalError(f"row 0 of A_{k} is not a multiple of e_{k}")
+        if [row[0] for row in m if row[0]] != [1]:
+            raise OrbitalError(f"column 0 of A_{k} is not a single 1")
+    sub = [m[0][k] for k, m in enumerate(mats)]
+    # an input with a zero first row names 0, and A_0 = I differs from it
+    named = [next((j for j, x in enumerate(g[0]) if x), 0) for g in gens]
+    if any(mats[a] != g for a, g in zip(named, gens)):
+        raise OrbitalError("an input matrix is not returned unchanged")
+    flat = [[x for row in m for x in row] for m in mats]
+    for a in named:
+        for b, mb in enumerate(mats):
+            want = [0] * (r * r)
+            for c, x in enumerate(mb[a]):
+                coef, rem = divmod(sub[a] * x, sub[c])
+                if rem:
+                    raise OrbitalError(
+                        f"A_{a} A_{b} has a non-integral coefficient at {c}"
+                    )
+                if coef:
+                    want = [w + coef * y for w, y in zip(want, flat[c])]
+            if [x for row in _matmul(mats[a], mb) for x in row] != want:
+                raise OrbitalError(
+                    f"A_{a} A_{b} does not expand in the recovered matrices"
+                )
 
 
 def wilcox_check(matrices, pairing):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, PermGroup, Permutation, group_closure
+from .groups import FiniteGroup, PermGroup, Permutation, enumerate_elements
 
 
 class WitnessError(Exception):
@@ -71,11 +71,11 @@ def canonical_partition(P) -> tuple[frozenset[int], ...]:
 
 
 def group_elements(g) -> list[Permutation]:
-    """Accept a PermGroup (enumerated via closure), an explicit element
-    list, or a FiniteGroup built from permutations."""
+    """Accept a PermGroup (enumerated breadth-first, without building a
+    multiplication table), an explicit element list, or a FiniteGroup
+    built from permutations."""
     if isinstance(g, PermGroup):
-        closed = group_closure(g, cap=10**6)
-        return list(closed.perms)
+        return enumerate_elements(g, cap=10**6)
     if isinstance(g, FiniteGroup):
         if g.perms is None:
             raise WitnessError("FiniteGroup carries no permutations")

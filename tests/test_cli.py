@@ -213,6 +213,17 @@ class TestErrorPaths:
         assert "word nested too deeply" in err
         assert "Traceback" not in err
 
+    def test_memory_error_exits_4(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_complete_mapping", exhausted)
+        code, out, err = run(capsys, "complete-mapping", "--group", "z3")
+        assert code == cli.EXIT_RESOURCE == 4
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_reproduce_without_data_exits_3(self, capsys, tmp_path):
         for target in ("table1", "table2", "A2", "A4", "entry-lists"):
             code, _, err = run(

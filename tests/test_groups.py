@@ -18,15 +18,16 @@ from synchro.groups import (
     dihedral_group,
     direct_product,
     elementary_abelian_group,
+    enumerate_elements,
     group_closure,
     make_group,
-    orbit_and_stabilizer,
     pair_action,
     parse_permutation,
     perm_order,
     quaternion_group,
     read_group_file,
     regular_perm_group,
+    schreier_structure,
     sylow2_is_cyclic,
     symmetric_group,
     two_part,
@@ -91,7 +92,23 @@ class TestClosure:
         assert g.identity == 0
         assert g.perms[0] == Permutation.identity(4)
 
+    def test_enumeration_order_matches_closure(self):
+        pg = PermGroup(
+            4, (Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0)))
+        )
+        elements = enumerate_elements(pg)
+        assert elements[0] == Permutation.identity(4)
+        assert elements[1:3] == list(pg.generators)
+        assert elements == list(group_closure(pg).perms)
+        assert len(set(elements)) == 24
+
     def test_cap(self):
+        with pytest.raises(SizeOverflowError):
+            enumerate_elements(
+                PermGroup(5, (Permutation((1, 0, 2, 3, 4)),
+                              Permutation((1, 2, 3, 4, 0)))),
+                cap=10,
+            )
         with pytest.raises(SizeOverflowError):
             group_closure(
                 PermGroup(5, (Permutation((1, 0, 2, 3, 4)),
@@ -251,8 +268,9 @@ class TestActions:
                 Permutation((1, 2, 3, 0)),
             ),
         )
-        orbit, stab = orbit_and_stabilizer(s4, 0)
+        orbit, transversal, stab = schreier_structure(s4, 0)
         assert sorted(orbit) == [0, 1, 2, 3]
+        assert all(transversal[u](0) == u for u in orbit)
         assert group_closure(stab).order == 6
 
     def test_pair_action_degree(self):
@@ -283,6 +301,27 @@ class TestGroupFiles:
         path.write_text("order 2\n0 1\n1 2\n")
         with pytest.raises(GroupFormatError):
             read_group_file(path)
+
+    def test_non_latin_table_rejected_above_associativity_cap(
+        self, tmp_path
+    ):
+        # z1001 with one repeated entry in row 5: identity and inverses
+        # survive, so only the Latin check can reject it at this order
+        n = 1001
+        rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+        rows[5][7] = rows[5][8]
+        path = tmp_path / "z1001_bad.grp"
+        path.write_text(
+            f"order {n}\n" + "\n".join(" ".join(map(str, r)) for r in rows)
+        )
+        with pytest.raises(GroupFormatError, match="Latin"):
+            read_group_file(path)
+
+    def test_latin_check_on_columns(self):
+        g = FiniteGroup(2, ((0, 1), (0, 1)))
+        with pytest.raises(GroupFormatError, match="column 0"):
+            g.check_latin()
+        cyclic_group(5).check_latin()
 
     def test_make_group_from_file(self, tmp_path):
         path = tmp_path / "z3.grp"

@@ -7,6 +7,7 @@ import pytest
 from synchro.groups import (
     PermGroup,
     Permutation,
+    group_closure,
     make_group,
     pair_action,
     parse_permutation,
@@ -170,6 +171,56 @@ def test_invariants_across_fixture_actions(name, build):
             assert sum(row) == dec.subdegrees[i]
 
 
+def brute_force_orbitals(action, base):
+    """Suborbits and pairing from the full element list: the orbits of
+    the elements fixing the base, and for suborbit x the suborbit
+    holding h(base) for any element h with h(x) = base."""
+    elements = group_closure(action).perms
+    stab = [p for p in elements if p(base) == base]
+    orbits = {frozenset(p(x) for p in stab) for x in range(action.degree)}
+    raw = sorted(
+        (sorted(o) for o in orbits),
+        key=lambda o: (o != [base], len(o), o[0]),
+    )
+    index = {x: i for i, o in enumerate(raw) for x in o}
+    pairing = [
+        index[next(h(base) for h in elements if h(o[0]) == base)]
+        for o in raw
+    ]
+    return tuple(map(tuple, raw)), tuple(pairing)
+
+
+@pytest.mark.parametrize("name,build", FIXTURE_ACTIONS)
+def test_decomposition_matches_brute_force_at_every_base(name, build):
+    action = build()
+    for base in range(action.degree):
+        dec = orbital_decomposition(action, base)
+        assert dec.base == base
+        oracle = brute_force_orbitals(action, base)
+        assert (dec.suborbits, dec.pairing) == oracle
+        for orb, t in zip(dec.suborbits, dec.transversal):
+            assert t(base) == orb[0]
+
+
+def test_s10_on_pairs_needs_no_element_list():
+    # |S10| = 3 628 800 is past every closure cap; the Schreier search
+    # never lists the group
+    natural = PermGroup(
+        10,
+        (
+            parse_permutation("(0 1)", 10),
+            Permutation(tuple(range(1, 10)) + (0,)),
+        ),
+    )
+    action, _ = pair_action(natural)
+    dec = orbital_decomposition(action, 0)
+    assert dec.subdegrees == (1, 16, 28)
+    assert dec.pairing == (0, 1, 2)
+    for i in range(dec.rank):
+        for row in collapsed_adjacency(action, dec, i).matrix:
+            assert sum(row) == dec.subdegrees[i]
+
+
 class TestIntersectionAlgebra:
     def test_recovers_all_matrices_for_petersen_action(
         self, a5_pairs_decomposition
@@ -185,6 +236,16 @@ class TestIntersectionAlgebra:
         mats = [collapsed_adjacency(action, dec, i) for i in range(3)]
         with pytest.raises(OrbitalError):
             intersection_algebra_expand(mats[1], mats[2], 4)
+
+    def test_algebra_larger_than_rank_rejected(self):
+        # two transposition matrices: first rows and columns look like
+        # collapsed matrices and their first rows already span rank 3,
+        # but they generate the 5-dimensional algebra of S3 acting on 3
+        # points, so only the structure-constant products can reject them
+        swap01 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+        swap02 = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+        with pytest.raises(OrbitalError, match="does not expand"):
+            intersection_algebra_expand(swap01, swap02, 3)
 
     def test_degenerate_input_rejected(self):
         ident = tuple(
@@ -232,6 +293,17 @@ class TestRank20Expansion:
         for k, ca in enumerate(basis):
             for row in ca.matrix:
                 assert sum(row) == sizes[k]
+
+    def test_row_swap_in_a2_rejected(self, rank20_fixture):
+        # the swap keeps every row sum, so only the algebra checks can
+        # tell the corrupted matrix from a collapsed adjacency matrix
+        a2, a4, _ = rank20_fixture
+        bad = [list(row) for row in a2]
+        bad[1][1], bad[1][2] = bad[1][2], bad[1][1]
+        assert bad[1] != list(a2[1])
+        assert [sum(row) for row in bad] == [sum(row) for row in a2]
+        with pytest.raises(OrbitalError):
+            intersection_algebra_expand(bad, a4, 20)
 
     def test_double_coset_entries(self, expansion):
         basis, (a2, a4, meta) = expansion
