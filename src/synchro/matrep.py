@@ -13,6 +13,21 @@ conjugation invariants of the pair, and for a suitable action they
 separate the orbitals, which lets collapsed adjacency matrices be
 computed without ever enumerating the (possibly astronomical) point
 set.
+
+No full product is formed for a fingerprint.  B_x is a row basis of
+V(1-x), reduced from the rows x_i + e_i.  Over F_2, (1-x)^2 = 1 + x^2,
+so x is an involution exactly when B_x x = B_x, which is checked.  Then
+
+    d1  = dim(B_x + B_y)
+    d2  = dim(B_y(1-x) + B_x(1-y))
+    d1p = dim(B_x + B_x y)
+    d2p = dim(B_y + B_y x)
+
+d2 holds because V_1(1-x) = V(1-y)(1-x), as (1-x)^2 = 0, and d1p
+because V(1-yxy) = Vy(1-x)y = V(1-x)y; d2p likewise.  As the
+fingerprint is invariant under simultaneous conjugation,
+fingerprint(a, t^-1 m t) = fingerprint(t a t^-1, m): a collapsed matrix
+conjugates a once per row, not once per (row, orbit element).
 """
 
 from __future__ import annotations
@@ -33,6 +48,16 @@ class WordError(Exception):
 class UnknownOrbitalError(Exception):
     """A computed fingerprint is absent from the classification table;
     usually means wrong generators or the wrong representation."""
+
+
+def _row_times(v: int, rows) -> int:
+    """The row vector v times the F_2 matrix with bit rows `rows`."""
+    acc = 0
+    while v:
+        low = v & -v
+        acc ^= rows[low.bit_length() - 1]
+        v ^= low
+    return acc
 
 
 class BitMatrix:
@@ -86,16 +111,7 @@ class BitMatrix:
             raise MatrixError("shape/field mismatch")
         if self.p == 2:
             brows = other.rows
-            out = []
-            for r in self.rows:
-                acc = 0
-                m = r
-                while m:
-                    low = m & -m
-                    acc ^= brows[low.bit_length() - 1]
-                    m ^= low
-                out.append(acc)
-            return BitMatrix(2, self.dim, out)
+            return BitMatrix(2, self.dim, [_row_times(r, brows) for r in self.rows])
         p, n = self.p, self.dim
         bt = list(zip(*other.rows))
         return BitMatrix(
@@ -505,30 +521,21 @@ class Fingerprint:
 
 
 class _RowSpace2:
-    """Reduced row span over F_2, rows as bit ints."""
+    """Row span over F_2 in echelon form: bit-int rows keyed by their
+    leading bit."""
 
-    def __init__(self):
-        self.pivots: dict[int, int] = {}  # pivot column -> row
-
-    def add(self, vec: int) -> bool:
-        while vec:
-            col = vec.bit_length() - 1
-            row = self.pivots.get(col)
-            if row is None:
-                self.pivots[col] = vec
-                return True
-            vec ^= row
-        return False
-
-    def add_rows_times(self, rows, m: BitMatrix):
-        for r in rows:
-            acc = 0
-            v = r
-            while v:
-                low = v & -v
-                acc ^= m.rows[low.bit_length() - 1]
-                v ^= low
-            self.add(acc)
+    def __init__(self, vectors=(), pivots=None):
+        self.pivots: dict[int, int] = {} if pivots is None else dict(pivots)
+        pivots = self.pivots
+        get = pivots.get
+        for vec in vectors:
+            while vec:
+                col = vec.bit_length() - 1
+                row = get(col)
+                if row is None:
+                    pivots[col] = vec
+                    break
+                vec ^= row
 
     @property
     def dim(self) -> int:
@@ -537,39 +544,42 @@ class _RowSpace2:
     def basis(self):
         return list(self.pivots.values())
 
-
-def _one_minus(x: BitMatrix) -> BitMatrix:
-    return BitMatrix.identity(x.p, x.dim) - x
-
-
-def _rowspace_dim_of_images(mats) -> int:
-    """dim of the sum of the full row spaces of the given matrices (F_2)."""
-    sp = _RowSpace2()
-    for m in mats:
-        for r in m.rows:
-            sp.add(r)
-    return sp.dim
+    def dim_with(self, vectors) -> int:
+        """dim of this span plus `vectors`; this span is left as it is."""
+        return _RowSpace2(vectors, self.pivots).dim
 
 
-def fingerprint(x: BitMatrix, y: BitMatrix, depth: int = 2) -> Fingerprint:
-    """Conjugacy invariants of an involution pair; see module docstring."""
+def _involution_basis(x: BitMatrix) -> _RowSpace2:
+    """B_x, a row basis of V(1-x).  B_x x = B_x holds exactly when
+    (1-x)^2 = 1 + x^2 is zero, that is when x is an involution."""
     if x.p != 2:
         raise MatrixError("fingerprints are implemented for p = 2 only")
-    if not (x * x).is_identity() or not (y * y).is_identity():
+    rows = x.rows
+    bx = _RowSpace2(r ^ (1 << i) for i, r in enumerate(rows))
+    if any(_row_times(v, rows) != v for v in bx.basis()):
         raise MatrixError("fingerprint needs involutions (x^2 = y^2 = 1)")
-    ox = _one_minus(x)
-    oy = _one_minus(y)
-    dims = []
-    basis = BitMatrix.identity(2, x.dim).rows  # V_0 = full space
-    for _ in range(depth):
-        sp = _RowSpace2()
-        sp.add_rows_times(basis, ox)
-        sp.add_rows_times(basis, oy)
-        dims.append(sp.dim)
-        basis = sp.basis()
-    d1p = _rowspace_dim_of_images([ox, _one_minus(y * x * y)])
-    d2p = _rowspace_dim_of_images([oy, _one_minus(x * y * x)])
-    return Fingerprint(dims[0], dims[1], d1p, d2p)
+    return bx
+
+
+def _fingerprint(
+    x: BitMatrix, bx: _RowSpace2, y: BitMatrix, by: _RowSpace2
+) -> Fingerprint:
+    """fingerprint(x, y) from bx = B_x and by = B_y; see module docstring."""
+    xs, ys = bx.basis(), by.basis()
+    xy = [_row_times(v, y.rows) for v in xs]  # B_x y
+    yx = [_row_times(v, x.rows) for v in ys]  # B_y x
+    # v(1-y) = v + vy
+    d2 = _RowSpace2(
+        [v ^ w for v, w in zip(ys, yx)] + [v ^ w for v, w in zip(xs, xy)]
+    ).dim
+    return Fingerprint(bx.dim_with(ys), d2, bx.dim_with(xy), by.dim_with(yx))
+
+
+def fingerprint(x: BitMatrix, y: BitMatrix) -> Fingerprint:
+    """Conjugacy invariants of an involution pair; see module docstring."""
+    if (x.p, x.dim) != (y.p, y.dim):
+        raise MatrixError("shape/field mismatch")
+    return _fingerprint(x, _involution_basis(x), y, _involution_basis(y))
 
 
 # ---------------------------------------------------------------------------
@@ -594,19 +604,62 @@ def centralizer_generators(
     return h1, h2
 
 
+def _subset_xor_tables(rows) -> list[list[int]]:
+    """Four-Russians tables: entry s of table k is the XOR of the rows
+    8k + i over the bits i of s.  A shorter last chunk gives a shorter
+    table, which the bits of a row (all below dim) never overrun."""
+    tables = []
+    for k in range(0, len(rows), 8):
+        table = [0]
+        for r in rows[k:k + 8]:
+            table += [t ^ r for t in table]
+        tables.append(table)
+    return tables
+
+
+def _row_times_tables(v: int, tables, nbytes: int) -> int:
+    acc = 0
+    for table, byte in zip(tables, v.to_bytes(nbytes, "little")):
+        acc ^= table[byte]
+    return acc
+
+
 def orbit_closure(seed: BitMatrix, conjugators) -> list[BitMatrix]:
     """Close {seed} under m -> h^-1 m h for each conjugator.  Breadth
     first with conjugators applied in listed order, so the element
-    order (and hence any serialized output) is reproducible."""
+    order (and hence any serialized output) is reproducible.
+
+    Over F_2 both products go through Four-Russians tables (Albrecht,
+    Bard & Hart, ACM TOMS 2010): those of each h are built once, those
+    of a frontier element m once for all conjugators."""
     pairs = [(h, h.inverse()) for h in conjugators]
+    p, dim = seed.p, seed.dim
+    if any((h.p, h.dim) != (p, dim) for h, _ in pairs):
+        raise MatrixError("shape/field mismatch")
+    if p == 2:
+        nbytes = (dim + 7) // 8
+        by_tables = [(hinv.rows, _subset_xor_tables(h.rows)) for h, hinv in pairs]
+
+        def images(m):
+            mt = _subset_xor_tables(m.rows)
+            for hinv_rows, ht in by_tables:
+                yield BitMatrix(2, dim, [
+                    _row_times_tables(_row_times_tables(r, mt, nbytes), ht, nbytes)
+                    for r in hinv_rows
+                ])
+    else:
+
+        def images(m):
+            for h, hinv in pairs:
+                yield hinv * m * h
+
     seen = {seed}
     order = [seed]
     frontier = [seed]
     while frontier:
         new = []
         for m in frontier:
-            for h, hinv in pairs:
-                c = hinv * m * h
+            for c in images(m):
                 if c not in seen:
                     seen.add(c)
                     order.append(c)
@@ -651,12 +704,15 @@ def collapsed_adjacency_matrep(
     class of a, computed entirely inside the matrix representation.
 
     rep_words[j] conjugates a into orbital j (index 0 = the identity
-    word); the fingerprint table assigns each conjugate pair to its
-    orbital.  Unknown fingerprints raise UnknownOrbitalError.
+    word); it is a BitMatrix or a word over standard_environment(a, b),
+    which is built only when some entry is a word.  The fingerprint
+    table assigns each conjugate pair to its orbital.  Unknown
+    fingerprints raise UnknownOrbitalError.
     """
     from .orbitals import CollapsedAdjacency
 
-    env = standard_environment(a, b)
+    words = [w for w in rep_words if not isinstance(w, BitMatrix)]
+    env = standard_environment(a, b) if words else None
     reps = [
         w if isinstance(w, BitMatrix) else eval_word(env, w)
         for w in rep_words
@@ -664,15 +720,17 @@ def collapsed_adjacency_matrep(
     if conjugators is None:
         conjugators = centralizer_generators(a, b)
     orbit = orbit_closure(a.conjugate_by(reps[i]), conjugators)
+    bases = [_involution_basis(m) for m in orbit]
     rank = len(rep_words)
     matrix = []
     for j in range(rank):
+        # fingerprint(a, t^-1 m t) = fingerprint(t a t^-1, m)
         tj = reps[j]
-        tj_inv = tj.inverse()
+        aj = tj * a * tj.inverse()
+        bj = _involution_basis(aj)
         row = [0] * rank
-        for m in orbit:
-            z = tj_inv * m * tj
-            fp = fingerprint(a, z).as_tuple()
+        for m, bm in zip(orbit, bases):
+            fp = _fingerprint(aj, bj, m, bm).as_tuple()
             try:
                 row[fingerprint_table[fp]] += 1
             except KeyError:

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from synchro import matrep
 from synchro.groups import Permutation, parse_permutation
 from synchro.matrep import (
     BitMatrix,
@@ -193,12 +195,91 @@ class TestStandardGenerators:
         assert report.failures()
 
 
+def random_invertible(rng, dim: int) -> BitMatrix:
+    while True:
+        m = BitMatrix(2, dim, [rng.getrandbits(dim) for _ in range(dim)])
+        try:
+            m.inverse()
+            return m
+        except MatrixError:
+            continue
+
+
+def dense_involution(rng, dim: int, swaps: int, c: BitMatrix) -> BitMatrix:
+    """A permutation involution with `swaps` transpositions, conjugated
+    by c so that it is dense."""
+    points = rng.sample(range(dim), 2 * swaps)
+    cycles = [tuple(points[k:k + 2]) for k in range(0, 2 * swaps, 2)]
+    return perm_matrix(Permutation.from_cycles(cycles, dim)).conjugate_by(c)
+
+
+def reference_fingerprint(x: BitMatrix, y: BitMatrix) -> tuple:
+    """The fingerprint from full products: V_1 = V(1-x) + V(1-y),
+    V_2 = V_1(1-x) + V_1(1-y), V(1-x) + V(1-yxy) and V(1-y) + V(1-xyx)."""
+    one = BitMatrix.identity(2, x.dim)
+    if x * x != one or y * y != one:
+        raise MatrixError("not an involution pair")
+
+    def times(v, m):
+        acc = 0
+        for j in range(m.dim):
+            if v >> j & 1:
+                acc ^= m.rows[j]
+        return acc
+
+    def basis(vectors):
+        out = []
+        for v in vectors:
+            for b in out:
+                v = min(v, v ^ b)
+            if v:
+                out.append(v)
+                out.sort(reverse=True)
+        return out
+
+    ox, oy = one - x, one - y
+    v1 = basis(ox.rows + oy.rows)
+    v2 = basis([times(v, ox) for v in v1] + [times(v, oy) for v in v1])
+    d1p = basis(ox.rows + (one - y * x * y).rows)
+    d2p = basis(oy.rows + (one - x * y * x).rows)
+    return (len(v1), len(v2), len(d1p), len(d2p))
+
+
 class TestFingerprint:
     def test_requires_involutions(self):
-        m = perm_matrix(parse_permutation("(0 1 2)", 4))
         i = BitMatrix.identity(2, 4)
+        rng = random.Random(7)
+        c = random_invertible(rng, 13)
+        cases = [
+            (perm_matrix(parse_permutation("(0 1 2)", 4)), i),
+            # 1-x has rank 1 and (1-x)^2 = 1-x
+            (BitMatrix(2, 4, [0b0010, 0b0010, 0b0100, 0b1000]), i),
+            (BitMatrix(2, 4, [0, 0, 0, 0]), i),
+            (
+                perm_matrix(parse_permutation("(0 1 2)(3 4)", 13)).conjugate_by(c),
+                dense_involution(rng, 13, 4, c),
+            ),
+        ]
+        for bad, good in cases:
+            for args in ((bad, good), (good, bad)):
+                with pytest.raises(MatrixError):
+                    fingerprint(*args)
+
+    def test_shape_mismatch(self):
         with pytest.raises(MatrixError):
-            fingerprint(m, i)
+            fingerprint(BitMatrix.identity(2, 4), BitMatrix.identity(2, 5))
+
+    @pytest.mark.parametrize("dim", [13, 64, 112])
+    def test_matches_full_product_reference(self, dim):
+        rng = random.Random(dim)
+        for k in range(6):
+            c = random_invertible(rng, dim)
+            x = dense_involution(rng, dim, rng.randint(1, dim // 2), c)
+            # every other pair shares its conjugator, keeping the
+            # permutation pair's (more degenerate) fingerprint
+            cy = c if k % 2 else random_invertible(rng, dim)
+            y = dense_involution(rng, dim, rng.randint(0, dim // 2), cy)
+            assert fingerprint(x, y).as_tuple() == reference_fingerprint(x, y)
 
     @settings(max_examples=30, deadline=None)
     @given(perm_mats5)
@@ -228,7 +309,54 @@ class TestCentralizerWords:
             centralizer_generators(a, b)
 
 
+def naive_closure(seed, conjugators):
+    """orbit_closure with every conjugate formed as h^-1 * m * h."""
+    pairs = [(h, h.inverse()) for h in conjugators]
+    order, seen, frontier = [seed], {seed}, [seed]
+    while frontier:
+        new = []
+        for m in frontier:
+            for h, hinv in pairs:
+                c = hinv * m * h
+                if c not in seen:
+                    seen.add(c)
+                    order.append(c)
+                    new.append(c)
+        frontier = new
+    return order
+
+
 class TestOrbitClosure:
+    @pytest.mark.parametrize("dim, points", [(13, 13), (112, 8)])
+    def test_matches_naive_closure(self, dim, points):
+        # transpositions of S_points, made dense; dim 13 is not a
+        # multiple of the 8-row table chunks
+        c = random_invertible(random.Random(dim), dim)
+        cycle = "(" + " ".join(map(str, range(points))) + ")"
+        seed, *conj = (
+            perm_matrix(parse_permutation(w, dim)).conjugate_by(c)
+            for w in ("(0 1)", "(0 1)", cycle)
+        )
+        orbit = orbit_closure(seed, conj)
+        assert len(orbit) == points * (points - 1) // 2
+        assert orbit == naive_closure(seed, conj)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(MatrixError):
+            orbit_closure(BitMatrix.identity(2, 4), [BitMatrix.identity(2, 5)])
+
+    def test_odd_characteristic(self):
+        def f3(w):
+            p = parse_permutation(w, 4)
+            return BitMatrix.from_entries(
+                3, [[1 if p(i) == j else 0 for j in range(4)] for i in range(4)]
+            )
+
+        seed, conj = f3("(0 1)"), [f3("(0 1)"), f3("(0 1 2 3)")]
+        orbit = orbit_closure(seed, conj)
+        assert len(orbit) == 6
+        assert orbit == naive_closure(seed, conj)
+
     def test_transposition_class_of_s5(self):
         seed = perm_matrix(parse_permutation("(0 1)", 5))
         conj = [
@@ -354,3 +482,26 @@ class TestMatrepCrossValidation:
             collapsed_adjacency_matrep(
                 a, b, reps, partial, 1, conjugators=centralizer
             )
+
+    def test_matrix_reps_skip_the_word_environment(self, s5_setup, monkeypatch):
+        action, dec, a, b, reps, table, centralizer = s5_setup
+
+        def boom(*args):
+            raise AssertionError("standard_environment evaluated")
+
+        monkeypatch.setattr(matrep, "standard_environment", boom)
+        ca = collapsed_adjacency_matrep(a, b, reps, table, 1, conjugators=centralizer)
+        assert ca.matrix == collapsed_adjacency(action, dec, 1).matrix
+
+    def test_word_reps(self, s5_setup):
+        action, dec, a, b, reps, table, centralizer = s5_setup
+        env = standard_environment(a, b)
+        words = [None] * dec.rank
+        for w in ("", "b", "b^2", "ab", "ba", "bab", "t", "c", "d"):
+            fp = fingerprint(a, a.conjugate_by(eval_word(env, w))).as_tuple()
+            if words[table[fp]] is None:
+                words[table[fp]] = w
+        assert None not in words
+        for i in range(dec.rank):
+            ca = collapsed_adjacency_matrep(a, b, words, table, i, conjugators=centralizer)
+            assert ca.matrix == collapsed_adjacency(action, dec, i).matrix
