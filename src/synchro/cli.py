@@ -1,4 +1,5 @@
-"""Command-line entry point wiring all modules.
+"""Command-line entry point wiring all modules.  `reproduce` runs the J4
+targets of synchro.reproduce, which acceptance criteria 1-3 also call.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 missing
 external data, 4 resource exhausted (out of memory).  Primary outputs
@@ -12,10 +13,10 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import chartab, diagonal, groups, mapping, matrep, orbitals, witness
+from . import reproduce
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -24,20 +25,6 @@ EXIT_DATA = 3
 EXIT_RESOURCE = 4
 
 VERSION = "0.1.0"
-
-DATA_DIR = Path(__file__).parent / "data"
-GENS_FILE = "j4_112_f2_gens.txt"
-CHARTABLE_FILE = "j4_characters.json"
-
-
-class DataMissing(Exception):
-    def __init__(self, path):
-        super().__init__(f"required external data file not found: {path}")
-        self.path = path
-
-
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _emit(payload: dict, args) -> None:
@@ -50,9 +37,8 @@ def _emit(payload: dict, args) -> None:
         manifest = {
             "command": " ".join(sys.argv[1:]),
             "version": VERSION,
-            "seed": getattr(args, "seed", None),
             "inputs": {
-                str(p): _digest(Path(p))
+                str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
                 for p in getattr(args, "_input_paths", [])
                 if Path(p).is_file()
             },
@@ -276,8 +262,7 @@ def cmd_matrep(args) -> int:
             raise matrep.MatrixError("--collapsed requires --table")
         table = matrep.load_fingerprint_table(args.table)
         args._input_paths.append(args.table)
-        data = json.loads((DATA_DIR / "j4_orbitals.json").read_text())
-        words = [o["rep_word"] for o in data["orbitals"]]
+        words = [o["rep_word"] for o in reproduce.orbital_metadata()]
         ca = matrep.collapsed_adjacency_matrep(
             a, b, words, table, args.collapsed - 1
         )
@@ -307,144 +292,11 @@ def cmd_chartab(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# reproduction targets
-
-
-def _require(data_dir: str | None, name: str) -> Path:
-    for base in ([Path(data_dir)] if data_dir else []):
-        p = base / name
-        if p.is_file():
-            return p
-    raise DataMissing(f"{(data_dir or '<data-dir>')}/{name}")
-
-
-def _load_expected_matrix(name: str):
-    lines = (DATA_DIR / name).read_text().splitlines()
-    return tuple(tuple(map(int, line.split())) for line in lines[1:])
-
-
-def _j4_pairing(data) -> list[int]:
-    return [o["pair"] - 1 for o in data["orbitals"]]
-
-
 def cmd_reproduce(args) -> int:
-    target = args.target
-    data = json.loads((DATA_DIR / "j4_orbitals.json").read_text())
-    payload: dict = {"reproduces": target}
-    status = EXIT_OK
-
-    if target == "table1":
-        table_path = _require(args.data_dir, CHARTABLE_FILE)
-        t = chartab.load_character_table(table_path)
-        args._input_paths.append(str(table_path))
-        expected = json.loads(
-            (DATA_DIR / "j4_structure_constants_expected.json").read_text()
-        )
-        scale = expected["scale"]
-        rows = []
-        ok = True
-        for row in expected["rows"]:
-            xi = chartab.structure_constant_xi(t, "2A", "2A", row["class"])
-            want = Fraction(row["xi"][0], row["xi"][1])
-            match = xi == want and xi * scale == row["scaled"]
-            ok = ok and match
-            rows.append(
-                {
-                    "class": row["class"],
-                    "xi": [xi.numerator, xi.denominator],
-                    "scaled": int(xi * scale) if (xi * scale).denominator == 1 else None,
-                    "match": match,
-                }
-            )
-        listed = {row["class"] for row in expected["rows"]}
-        for cls in t.classes:
-            if cls.name not in listed:
-                xi = chartab.structure_constant_xi(t, "2A", "2A", cls.name)
-                rows.append(
-                    {"class": cls.name, "xi": [xi.numerator, xi.denominator],
-                     "match": xi == 0}
-                )
-                ok = ok and xi == 0
-        payload["rows"] = rows
-        payload["ok"] = ok
-        status = EXIT_OK if ok else EXIT_VERIFY
-
-    elif target == "table2":
-        gens_path = _require(args.data_dir, GENS_FILE)
-        a, b = matrep.parse_matrix_file(gens_path)[:2]
-        args._input_paths.append(str(gens_path))
-        report = matrep.verify_standard_generators(a, b)
-        if not report.passed:
-            payload["ok"] = False
-            payload["standard_generators"] = [list(c) for c in report.checks]
-            _emit(payload, args)
-            return EXIT_VERIFY
-        env = matrep.standard_environment(a, b)
-        rows = []
-        ok = True
-        for o in data["orbitals"]:
-            x = matrep.eval_word(env, o["rep_word"])
-            fp = matrep.fingerprint(a, a.conjugate_by(x)).as_tuple()
-            match = list(fp) == o["fingerprint"]
-            ok = ok and match
-            rows.append({"nr": o["nr"], "fingerprint": list(fp), "match": match})
-        h = matrep.centralizer_generators(a, b)
-        for nr in (2, 4):
-            o = data["orbitals"][nr - 1]
-            seed = a.conjugate_by(matrep.eval_word(env, o["rep_word"]))
-            size = len(matrep.orbit_closure(seed, h))
-            match = size == o["s1"]
-            ok = ok and match
-            rows.append({"nr": nr, "orbit_size": size, "match": match})
-        payload["rows"] = rows
-        payload["ok"] = ok
-        status = EXIT_OK if ok else EXIT_VERIFY
-
-    elif target in ("A2", "A4"):
-        gens_path = _require(args.data_dir, GENS_FILE)
-        a, b = matrep.parse_matrix_file(gens_path)[:2]
-        args._input_paths.append(str(gens_path))
-        table = matrep.load_fingerprint_table(
-            DATA_DIR / "j4_fingerprint_table.txt"
-        )
-        words = [o["rep_word"] for o in data["orbitals"]]
-        i = 1 if target == "A2" else 3
-        ca = matrep.collapsed_adjacency_matrep(a, b, words, table, i)
-        expected = _load_expected_matrix(
-            "j4_a2_expected.txt" if target == "A2" else "j4_a4_expected.txt"
-        )
-        payload["matrix"] = [list(r) for r in ca.matrix]
-        payload["ok"] = ca.matrix == expected
-        status = EXIT_OK if payload["ok"] else EXIT_VERIFY
-
-    elif target == "entry-lists":
-        gens_path = _require(args.data_dir, GENS_FILE)
-        a, b = matrep.parse_matrix_file(gens_path)[:2]
-        args._input_paths.append(str(gens_path))
-        table = matrep.load_fingerprint_table(
-            DATA_DIR / "j4_fingerprint_table.txt"
-        )
-        words = [o["rep_word"] for o in data["orbitals"]]
-        a2 = matrep.collapsed_adjacency_matrep(a, b, words, table, 1)
-        a4 = matrep.collapsed_adjacency_matrep(a, b, words, table, 3)
-        basis = orbitals.intersection_algebra_expand(a2, a4, len(words))
-        report = orbitals.wilcox_check(basis, _j4_pairing(data))
-        expected = json.loads(
-            (DATA_DIR / "j4_square_entries_expected.json").read_text()
-        )
-        inv = [r["inverse_entry"] for r in report]
-        slf = [r["self_entry"] for r in report]
-        payload["inverse_in_square"] = inv
-        payload["self_in_square"] = slf
-        payload["ok"] = (
-            inv == expected["inverse_in_square"]
-            and slf == expected["self_in_square"]
-        )
-        status = EXIT_OK if payload["ok"] else EXIT_VERIFY
-
-    _emit(payload, args)
-    return status
+    payload, inputs = reproduce.TARGETS[args.target](args.data_dir)
+    args._input_paths.extend(map(str, inputs))
+    _emit({"reproduces": args.target, **payload}, args)
+    return EXIT_OK if payload["ok"] else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--output", help="write primary JSON output here")
     parser.add_argument("--manifest", help="write a run manifest here")
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized suites"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("complete-mapping", help="search for a complete mapping")
@@ -520,11 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="re-run a published computation")
     p.add_argument(
         "target",
-        choices=["table1", "table2", "A2", "A4", "entry-lists"],
+        choices=list(reproduce.TARGETS),
     )
     p.add_argument(
         "--data-dir",
-        help=f"directory holding {GENS_FILE} and/or {CHARTABLE_FILE}",
+        help=f"directory holding {reproduce.GENS_FILE} and/or "
+        f"{reproduce.CHARTABLE_FILE}",
     )
     p.set_defaults(func=cmd_reproduce)
     return parser
@@ -539,7 +389,7 @@ def main(argv=None) -> int:
     args._input_paths = []
     try:
         return args.func(args)
-    except DataMissing as exc:
+    except reproduce.DataMissing as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(
             "supply --data-dir pointing at the required files; matrix "

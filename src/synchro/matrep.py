@@ -707,10 +707,12 @@ def collapsed_adjacency_matrep(
     word); it is a BitMatrix or a word over standard_environment(a, b),
     which is built only when some entry is a word.  The fingerprint
     table assigns each conjugate pair to its orbital.  Unknown
-    fingerprints raise UnknownOrbitalError.
+    fingerprints raise UnknownOrbitalError; i out of range, MatrixError.
     """
     from .orbitals import CollapsedAdjacency
 
+    if not 0 <= i < len(rep_words):
+        raise MatrixError(f"no orbital {i} (0-based) in rank {len(rep_words)}")
     words = [w for w in rep_words if not isinstance(w, BitMatrix)]
     env = standard_environment(a, b) if words else None
     reps = [

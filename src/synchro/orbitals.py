@@ -91,6 +91,8 @@ def collapsed_adjacency(
     under the transversal element carrying the base to suborbit j's
     representative."""
     r = dec.rank
+    if not 0 <= i < r:
+        raise OrbitalError(f"no orbital {i} (0-based) in rank {r}")
     suborbit_of = {x: k for k, orb in enumerate(dec.suborbits) for x in orb}
     matrix = []
     for j in range(r):

@@ -1,0 +1,146 @@
+"""The J4 computation that completes the Hall-Paige proof, re-run by the
+CLI's `reproduce` and by acceptance criteria 1-3.
+
+Each target takes the directory of external files (DataMissing if one is
+absent) and returns (payload, inputs): a JSON-ready dict whose "ok" says
+every check against the bundled data passed, and the external files read.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+from functools import partial
+from pathlib import Path
+
+from . import chartab, matrep, orbitals
+
+DATA_DIR = Path(__file__).parent / "data"
+GENS_FILE = "j4_112_f2_gens.txt"
+CHARTABLE_FILE = "j4_characters.json"
+
+
+class DataMissing(Exception):
+    """A required external data file is absent."""
+
+
+def require(data_dir, name: str) -> Path:
+    if data_dir and (Path(data_dir) / name).is_file():
+        return Path(data_dir) / name
+    where = f"{data_dir or '<data-dir>'}/{name}"
+    raise DataMissing(f"required external data file not found: {where}")
+
+
+def orbital_metadata() -> list[dict]:
+    """The 20 bundled orbitals in order (nr, pair, rep_word, s1, ...)."""
+    return json.loads((DATA_DIR / "j4_orbitals.json").read_text())["orbitals"]
+
+
+def printed_matrix(name: str) -> tuple[tuple[int, ...], ...]:
+    """The printed collapsed matrix "A2" or "A4"."""
+    text = (DATA_DIR / f"j4_{name.lower()}_expected.txt").read_text()
+    return tuple(tuple(map(int, r.split())) for r in text.splitlines()[1:])
+
+
+def expected(what: str) -> dict:
+    """The expected "structure_constants" or "square_entries"."""
+    return json.loads((DATA_DIR / f"j4_{what}_expected.json").read_text())
+
+
+def on_generators(compute):
+    """The target that reads two matrices a, b from the generator file and
+    runs compute(a, b) if they pass the standard-generator order checks;
+    if one fails, its payload lists them with "ok" false."""
+
+    def target(data_dir):
+        path = require(data_dir, GENS_FILE)
+        mats = matrep.parse_matrix_file(path)
+        if len(mats) < 2:
+            raise matrep.MatrixError("generator file must contain two matrices")
+        report = matrep.verify_standard_generators(*mats[:2])
+        if report.passed:
+            return compute(*mats[:2]), [path]
+        checks = [list(c) for c in report.checks]
+        return {"ok": False, "standard_generators": checks}, [path]
+
+    return target
+
+
+def table1(data_dir):
+    """Table 1: xi(2A, 2A, C) as listed, and zero for every other C."""
+    path = require(data_dir, CHARTABLE_FILE)
+    t = chartab.load_character_table(path)
+    want = expected("structure_constants")
+    listed = {row["class"]: row for row in want["rows"]}
+    rows = []
+    for name in [*listed, *(c.name for c in t.classes if c.name not in listed)]:
+        xi = chartab.structure_constant_xi(t, "2A", "2A", name)
+        row = {"class": name, "xi": [xi.numerator, xi.denominator]}
+        row["match"] = xi == 0
+        if name in listed:
+            scaled = xi * want["scale"]
+            row["scaled"] = int(scaled) if scaled.denominator == 1 else None
+            row["match"] = xi == Fraction(*listed[name]["xi"]) and (
+                scaled == listed[name]["scaled"]
+            )
+        rows.append(row)
+    return {"rows": rows, "ok": all(r["match"] for r in rows)}, [path]
+
+
+@on_generators
+def table2(a, b):
+    """Table 2: the 20 fingerprints, and orbit sizes 1386 and 18480."""
+    env = matrep.standard_environment(a, b)
+    meta = orbital_metadata()
+    conj = [a.conjugate_by(matrep.eval_word(env, o["rep_word"])) for o in meta]
+    rows = []
+    for o, m in zip(meta, conj):
+        fp = list(matrep.fingerprint(a, m).as_tuple())
+        rows.append({"nr": o["nr"], "fingerprint": fp,
+                     "match": fp == o["fingerprint"]})
+    h = matrep.centralizer_generators(a, b)
+    for k in (1, 3):
+        size = len(matrep.orbit_closure(conj[k], h))
+        rows.append({"nr": meta[k]["nr"], "orbit_size": size,
+                     "match": size == meta[k]["s1"]})
+    return {"rows": rows, "ok": all(r["match"] for r in rows)}
+
+
+def _collapsed(a, b, name: str):
+    """The collapsed matrix "A2" or "A4", computed from a and b."""
+    words = [o["rep_word"] for o in orbital_metadata()]
+    table = matrep.load_fingerprint_table(DATA_DIR / "j4_fingerprint_table.txt")
+    i = int(name[1:]) - 1
+    return matrep.collapsed_adjacency_matrep(a, b, words, table, i).matrix
+
+
+def _against_print(name: str, a, b):
+    """A2 or A4, bit-identical to the printed matrix."""
+    m = _collapsed(a, b, name)
+    return {"matrix": [list(r) for r in m], "ok": m == printed_matrix(name)}
+
+
+@on_generators
+def entry_lists(a, b):
+    """A2 and A4 as printed, then the double-coset entry lists."""
+    mats = {n: _collapsed(a, b, n) for n in ("A2", "A4")}
+    differs = [n for n, m in mats.items() if m != printed_matrix(n)]
+    if differs:
+        return {"ok": False, "differs_from_printed": differs}
+    pairing = [o["pair"] - 1 for o in orbital_metadata()]
+    basis = orbitals.intersection_algebra_expand(*mats.values(), len(pairing))
+    report = orbitals.wilcox_check(basis, pairing)
+    want = expected("square_entries")
+    inv = [r["inverse_entry"] for r in report]
+    slf = [r["self_entry"] for r in report]
+    ok = inv == want["inverse_in_square"] and slf == want["self_in_square"]
+    return {"inverse_in_square": inv, "self_in_square": slf, "ok": ok}
+
+
+TARGETS = {
+    "table1": table1,
+    "table2": table2,
+    "A2": on_generators(partial(_against_print, "A2")),
+    "A4": on_generators(partial(_against_print, "A4")),
+    "entry-lists": entry_lists,
+}

@@ -1,6 +1,7 @@
 """End-to-end acceptance checks.
 
-Criteria 1-3 re-run the large sporadic-group computations and need two
+Criteria 1-3 re-run the large sporadic-group computations through
+synchro.reproduce, the pipeline behind `synchro reproduce`, and need two
 externally supplied files (not bundled for size/licensing reasons):
 
   $SYNCHRO_J4_DATA/j4_characters.json   exported character table
@@ -12,27 +13,26 @@ PASS line (visible with -v via the test name, or with -s via stdout).
 """
 
 import itertools
-import json
 import os
 import random
-from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from synchro import chartab, diagonal, groups, mapping, matrep, orbitals, witness
+from synchro import chartab, diagonal, groups, mapping, orbitals, reproduce
+from synchro import witness
 
-DATA = Path(__file__).parent.parent / "src" / "synchro" / "data"
 
-
-def j4_file(name: str) -> Path:
+def j4_target(name: str) -> dict:
+    """Run a reproduce target on $SYNCHRO_J4_DATA; it must pass."""
     base = os.environ.get("SYNCHRO_J4_DATA")
     if not base:
         pytest.skip("SYNCHRO_J4_DATA not set; external data criteria skipped")
-    path = Path(base) / name
-    if not path.is_file():
-        pytest.skip(f"external data file {path} absent")
-    return path
+    try:
+        payload, _ = reproduce.TARGETS[name](base)
+    except reproduce.DataMissing as exc:
+        pytest.skip(str(exc))
+    assert payload["ok"], payload
+    return payload
 
 
 def report(n: int, text: str) -> None:
@@ -43,79 +43,25 @@ def report(n: int, text: str) -> None:
 
 
 def test_criterion_1_structure_constants():
-    t = chartab.load_character_table(j4_file("j4_characters.json"))
-    expected = json.loads(
-        (DATA / "j4_structure_constants_expected.json").read_text()
-    )
-    scale = expected["scale"]
-    listed = set()
-    for row in expected["rows"]:
-        xi = chartab.structure_constant_xi(t, "2A", "2A", row["class"])
-        assert xi == Fraction(*row["xi"]), row["class"]
-        assert xi * scale == row["scaled"], row["class"]
-        listed.add(row["class"])
-    others = [c.name for c in t.classes if c.name not in listed][:3]
-    assert len(others) == 3
-    for name in others:
-        assert chartab.structure_constant_xi(t, "2A", "2A", name) == 0, name
-    report(1, f"14 nonzero rows exact, {', '.join(others)} vanish")
+    rows = j4_target("table1")["rows"]
+    others = [r["class"] for r in rows if "scaled" not in r]
+    assert len(others) >= 3, rows
+    report(1, f"14 nonzero rows exact, all {len(others)} other classes vanish")
 
 
 # -- criterion 2: fingerprints and orbit sizes ------------------------------
 
 
-@pytest.fixture(scope="module")
-def j4_generators():
-    mats = matrep.parse_matrix_file(j4_file("j4_112_f2_gens.txt"))
-    assert len(mats) >= 2
-    return mats[0], mats[1]
-
-
-@pytest.fixture(scope="module")
-def j4_meta():
-    return json.loads((DATA / "j4_orbitals.json").read_text())
-
-
-def test_criterion_2_fingerprints_and_orbits(j4_generators, j4_meta):
-    a, b = j4_generators
-    assert matrep.verify_standard_generators(a, b).passed
-    env = matrep.standard_environment(a, b)
-    for o in j4_meta["orbitals"]:
-        x = matrep.eval_word(env, o["rep_word"])
-        fp = matrep.fingerprint(a, a.conjugate_by(x))
-        assert list(fp.as_tuple()) == o["fingerprint"], o["nr"]
-    conj = matrep.centralizer_generators(a, b)
-    for nr, size in ((2, 1386), (4, 18480)):
-        word = j4_meta["orbitals"][nr - 1]["rep_word"]
-        seed = a.conjugate_by(matrep.eval_word(env, word))
-        assert len(matrep.orbit_closure(seed, conj)) == size
+def test_criterion_2_fingerprints_and_orbits():
+    j4_target("table2")
     report(2, "20 fingerprints exact; orbit sizes 1386 and 18480")
 
 
 # -- criterion 3: collapsed matrices and double-coset entry lists -----------
 
 
-def load_printed(name: str):
-    lines = (DATA / name).read_text().splitlines()
-    return tuple(tuple(map(int, row.split())) for row in lines[1:])
-
-
-def test_criterion_3_collapsed_matrices(j4_generators, j4_meta):
-    a, b = j4_generators
-    table = matrep.load_fingerprint_table(DATA / "j4_fingerprint_table.txt")
-    words = [o["rep_word"] for o in j4_meta["orbitals"]]
-    a2 = matrep.collapsed_adjacency_matrep(a, b, words, table, 1)
-    a4 = matrep.collapsed_adjacency_matrep(a, b, words, table, 3)
-    assert a2.matrix == load_printed("j4_a2_expected.txt")
-    assert a4.matrix == load_printed("j4_a4_expected.txt")
-    basis = orbitals.intersection_algebra_expand(a2, a4, 20)
-    pairing = [o["pair"] - 1 for o in j4_meta["orbitals"]]
-    rep = orbitals.wilcox_check(basis, pairing)
-    expected = json.loads(
-        (DATA / "j4_square_entries_expected.json").read_text()
-    )
-    assert [r["inverse_entry"] for r in rep] == expected["inverse_in_square"]
-    assert [r["self_entry"] for r in rep] == expected["self_in_square"]
+def test_criterion_3_collapsed_matrices():
+    j4_target("entry-lists")
     report(3, "A2/A4 bit-identical; both entry lists reproduced")
 
 

@@ -483,6 +483,20 @@ class TestMatrepCrossValidation:
                 a, b, reps, partial, 1, conjugators=centralizer
             )
 
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_index_out_of_range_rejected(self, s5_setup, monkeypatch, i):
+        _, dec, a, b, reps, table, centralizer = s5_setup
+        assert len(reps) == dec.rank == 3
+
+        def boom(*args):
+            raise AssertionError("orbit closed before the index check")
+
+        monkeypatch.setattr(matrep, "orbit_closure", boom)
+        with pytest.raises(MatrixError, match="no orbital"):
+            collapsed_adjacency_matrep(
+                a, b, reps, table, i, conjugators=centralizer
+            )
+
     def test_matrix_reps_skip_the_word_environment(self, s5_setup, monkeypatch):
         action, dec, a, b, reps, table, centralizer = s5_setup
 

@@ -1,9 +1,8 @@
 import itertools
-import json
-from pathlib import Path
 
 import pytest
 
+from synchro import reproduce
 from synchro.groups import (
     PermGroup,
     Permutation,
@@ -22,8 +21,6 @@ from synchro.orbitals import (
     rank_and_selfpaired,
     wilcox_check,
 )
-
-DATA = Path(__file__).parent.parent / "src" / "synchro" / "data"
 
 
 def a5_natural() -> PermGroup:
@@ -123,6 +120,14 @@ class TestCollapsedAdjacency:
             m = collapsed_adjacency(action, dec, i)
             for row in m.matrix:
                 assert sum(row) == dec.subdegrees[i]
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_index_out_of_range_rejected(self, a5_pairs_decomposition, i):
+        # -1 would otherwise wrap round to the last orbital
+        action, dec = a5_pairs_decomposition
+        assert dec.rank == 3
+        with pytest.raises(OrbitalError, match="no orbital"):
+            collapsed_adjacency(action, dec, i)
 
 
 FIXTURE_ACTIONS = [
@@ -255,17 +260,11 @@ class TestIntersectionAlgebra:
             intersection_algebra_expand(ident, ident, 3)
 
 
-def load_expected(name):
-    lines = (DATA / name).read_text().splitlines()
-    return tuple(tuple(map(int, row.split())) for row in lines[1:])
-
-
 @pytest.fixture(scope="module")
 def rank20_fixture():
-    a2 = load_expected("j4_a2_expected.txt")
-    a4 = load_expected("j4_a4_expected.txt")
-    meta = json.loads((DATA / "j4_orbitals.json").read_text())
-    return a2, a4, meta
+    a2 = reproduce.printed_matrix("A2")
+    a4 = reproduce.printed_matrix("A4")
+    return a2, a4, reproduce.orbital_metadata()
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +288,7 @@ class TestRank20Expansion:
 
     def test_row_sums_match_suborbit_sizes(self, expansion):
         basis, (a2, a4, meta) = expansion
-        sizes = [o["s1"] for o in meta["orbitals"]]
+        sizes = [o["s1"] for o in meta]
         for k, ca in enumerate(basis):
             for row in ca.matrix:
                 assert sum(row) == sizes[k]
@@ -307,10 +306,8 @@ class TestRank20Expansion:
 
     def test_double_coset_entries(self, expansion):
         basis, (a2, a4, meta) = expansion
-        pairing = [o["pair"] - 1 for o in meta["orbitals"]]
-        expected = json.loads(
-            (DATA / "j4_square_entries_expected.json").read_text()
-        )
+        pairing = [o["pair"] - 1 for o in meta]
+        expected = reproduce.expected("square_entries")
         report = wilcox_check(basis, pairing)
         assert [r["inverse_entry"] for r in report] == expected[
             "inverse_in_square"
