@@ -71,55 +71,62 @@ def _parse_value(v) -> mpmath.mpc:
 
 def load_character_table(path) -> CharacterTable:
     """Load and validate a table: size laws and row orthonormality."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise CharacterTableError(f"{path}: invalid JSON: {exc}") from exc
     with mpmath.workprec(PRECISION_BITS):
         try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise CharacterTableError(f"{path}: invalid JSON: {exc}") from exc
-        order = data["group_order"]
-        classes = tuple(
-            ClassInfo(
-                c["name"], c["size"], c["centralizer_order"], c["element_order"]
-            )
-            for c in data["classes"]
+            return _validated_table(data, path)
+        except (AttributeError, IndexError, KeyError, TypeError) as exc:
+            raise CharacterTableError(f"{path}: malformed table: {exc!r}") from exc
+
+
+def _validated_table(data, path) -> CharacterTable:
+    order = data["group_order"]
+    classes = tuple(
+        ClassInfo(
+            c["name"], c["size"], c["centralizer_order"], c["element_order"]
         )
-        if sum(c.size for c in classes) != order:
+        for c in data["classes"]
+    )
+    if sum(c.size for c in classes) != order:
+        raise CharacterTableError(
+            f"{path}: class sizes sum to "
+            f"{sum(c.size for c in classes)}, not {order}"
+        )
+    for c in classes:
+        if c.size * c.centralizer_order != order:
             raise CharacterTableError(
-                f"{path}: class sizes sum to "
-                f"{sum(c.size for c in classes)}, not {order}"
+                f"{path}: class {c.name}: size*centralizer != order"
             )
-        for c in classes:
-            if c.size * c.centralizer_order != order:
-                raise CharacterTableError(
-                    f"{path}: class {c.name}: size*centralizer != order"
-                )
-        if classes[0].size != 1 or classes[0].element_order != 1:
+    if classes[0].size != 1 or classes[0].element_order != 1:
+        raise CharacterTableError(
+            f"{path}: first class must be the identity class"
+        )
+    characters = tuple(
+        tuple(_parse_value(v) for v in row) for row in data["characters"]
+    )
+    for ri, row in enumerate(characters):
+        if len(row) != len(classes):
             raise CharacterTableError(
-                f"{path}: first class must be the identity class"
+                f"{path}: character row {ri} has wrong length"
             )
-        characters = tuple(
-            tuple(_parse_value(v) for v in row) for row in data["characters"]
+        norm = sum(
+            c.size * (v * mpmath.conj(v)).real
+            for c, v in zip(classes, row)
         )
-        for ri, row in enumerate(characters):
-            if len(row) != len(classes):
-                raise CharacterTableError(
-                    f"{path}: character row {ri} has wrong length"
-                )
-            norm = sum(
-                c.size * (v * mpmath.conj(v)).real
-                for c, v in zip(classes, row)
+        if abs(norm / order - 1) > 1e-6:
+            raise CharacterTableError(
+                f"{path}: character row {ri} fails <chi,chi> = 1 "
+                f"(got {mpmath.nstr(norm / order, 10)})"
             )
-            if abs(norm / order - 1) > 1e-6:
-                raise CharacterTableError(
-                    f"{path}: character row {ri} fails <chi,chi> = 1 "
-                    f"(got {mpmath.nstr(norm / order, 10)})"
-                )
-        indicators = (
-            tuple(data["indicators"]) if "indicators" in data else None
-        )
-        if indicators is not None and len(indicators) != len(characters):
-            raise CharacterTableError(f"{path}: indicator list length")
-        return CharacterTable(order, classes, characters, indicators)
+    indicators = (
+        tuple(data["indicators"]) if "indicators" in data else None
+    )
+    if indicators is not None and len(indicators) != len(characters):
+        raise CharacterTableError(f"{path}: indicator list length")
+    return CharacterTable(order, classes, characters, indicators)
 
 
 def structure_constant_hat(t: CharacterTable, *class_names: str) -> int:

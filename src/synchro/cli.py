@@ -49,6 +49,14 @@ def _emit(payload: dict, args) -> None:
         )
 
 
+def _points(value, n: int, what: str) -> list[int]:
+    if not isinstance(value, list) or not all(
+        type(x) is int and 0 <= x < n for x in value
+    ):
+        raise witness.WitnessError(f"{what} must be a JSON array of points < {n}")
+    return value
+
+
 def _load_group(spec: str, args=None) -> groups.FiniteGroup:
     g = groups.make_group(spec)
     if args is not None and Path(spec).is_file():
@@ -88,7 +96,8 @@ def _diagonal_phi(args, T) -> mapping.CompleteMapping:
     if args.phi:
         data = json.loads(Path(args.phi).read_text())
         args._input_paths.append(args.phi)
-        phi = tuple(data["phi"])
+        phi = data["phi"] if isinstance(data, dict) else None
+        phi = tuple(_points(phi, T.order, "the phi file's \"phi\""))
         if not mapping.verify_complete_mapping(T, phi):
             raise witness.WitnessError("supplied phi fails verification")
         return mapping.CompleteMapping(T, phi)
@@ -151,14 +160,20 @@ def cmd_diagonal(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    needs = "P" if args.mode == "sync" else "B"
+    if getattr(args, needs) is None:
+        raise witness.WitnessError(f"witness {args.mode} needs --{needs}")
     g = _load_group(args.group, args)
     perm_g = groups.regular_perm_group(g)
-    A = json.loads(args.A)
+    A = _points(json.loads(args.A), g.order, "--A")
     payload: dict = {"group": args.group, "mode": args.mode}
     status = EXIT_OK
     if args.mode == "sync":
         P = json.loads(Path(args.P).read_text())
         args._input_paths.append(args.P)
+        if not isinstance(P, list):
+            raise witness.WitnessError("--P must hold a JSON array of parts")
+        P = [_points(part, g.order, "each part of --P") for part in P]
         w = witness.make_sync_witness(A, P)
         failure = witness.verify_sync_witness(perm_g, w)
         payload["ok"] = failure is None
@@ -167,7 +182,7 @@ def cmd_witness(args) -> int:
             payload["failing_part"] = sorted(failure[1])
             status = EXIT_VERIFY
     elif args.mode == "sep":
-        B = json.loads(args.B)
+        B = _points(json.loads(args.B), g.order, "--B")
         w = witness.make_sep_witness(A, B, g.order)
         failure = witness.verify_sep_witness(perm_g, w)
         payload["ok"] = failure is None
@@ -175,14 +190,14 @@ def cmd_witness(args) -> int:
             payload["failing_element"] = str(failure)
             status = EXIT_VERIFY
     elif args.mode == "factorise":
-        B = json.loads(args.B)
+        B = _points(json.loads(args.B), g.order, "--B")
         w = witness.make_sep_witness(A, B, g.order)
         f = witness.witness_to_factorisation(g, w)
         payload["ok"] = True
         payload["A_inverse"] = sorted(f.A)
         payload["B"] = sorted(f.B)
     elif args.mode == "pipeline":
-        B = json.loads(args.B)
+        B = _points(json.loads(args.B), g.order, "--B")
         w = witness.make_sep_witness(A, B, g.order)
         failure = witness.verify_sep_witness(perm_g, w)
         if failure is not None:
@@ -203,16 +218,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_orbitals(args) -> int:
-    g = _load_group(args.group, args)
-    perm_g = groups.regular_perm_group(g) if args.regular else None
-    if perm_g is None:
-        if g.perms is None or g.generators is None:
-            perm_g = groups.regular_perm_group(g)
-        else:
-            perm_g = groups.PermGroup(
-                g.perms[0].degree,
-                tuple(g.perms[i] for i in g.generators),
-            )
+    # every group is a multiplication table, acting right-regularly
+    perm_g = groups.regular_perm_group(_load_group(args.group, args))
     dec = orbitals.orbital_decomposition(perm_g, args.base)
     payload = {
         "base": args.base,
@@ -347,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--regular",
         action="store_true",
-        help="use the right-regular action of the group",
+        help="use the right-regular action of the group (the default)",
     )
     p.set_defaults(func=cmd_orbitals)
 
@@ -408,7 +415,7 @@ def main(argv=None) -> int:
         matrep.WordError,
         matrep.UnknownOrbitalError,
         chartab.CharacterTableError,
-        FileNotFoundError,
+        OSError,
         json.JSONDecodeError,
         KeyError,
         ValueError,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, PermGroup, Permutation
+from .groups import FiniteGroup
 from .mapping import CompleteMapping, verify_complete_mapping
 
 
@@ -111,55 +111,6 @@ def canonical_cliques(spec: DiagonalGraph, vertex) -> list[list[tuple]]:
     return cliques
 
 
-def diagonal_group_generators(
-    T: FiniteGroup, n: int, automorphisms=()
-) -> PermGroup:
-    """Generators of D(T,n) acting on the |T|^(n-1) ranked vertices.
-
-    Emitted, in order: one generator per (generator of T, slot) pair for
-    the translation part; the supplied outer automorphisms of T (inner
-    ones are already covered); adjacent coordinate transpositions; and
-    the map folding the first coordinate through, which extends the
-    coordinate permutations to the full symmetric group on n slots.
-    """
-    spec = DiagonalGraph(T, n)
-    if spec.num_vertices > 10**7:
-        raise DiagonalError("vertex count too large to index")
-
-    def as_perm(f) -> Permutation:
-        images = [0] * spec.num_vertices
-        for coords in spec.vertices():
-            images[spec.rank(coords)] = spec.rank(f(coords))
-        return Permutation(tuple(images))
-
-    gens = []
-    for s in T.generating_set():
-        s_inv = T.inv(s)
-        # slot 1: every coordinate is left-divided by s
-        gens.append(as_perm(lambda c, si=s_inv: tuple(T.mul(si, t) for t in c)))
-        for k in range(n - 1):
-            gens.append(
-                as_perm(
-                    lambda c, s=s, k=k: c[:k] + (T.mul(c[k], s),) + c[k + 1 :]
-                )
-            )
-    for alpha in automorphisms:
-        gens.append(as_perm(lambda c, a=alpha: tuple(a[t] for t in c)))
-    for k in range(n - 2):
-        gens.append(
-            as_perm(
-                lambda c, k=k: c[:k] + (c[k + 1], c[k]) + c[k + 2 :]
-            )
-        )
-    gens.append(
-        as_perm(
-            lambda c: (T.inv(c[0]),)
-            + tuple(T.mul(T.inv(c[0]), t) for t in c[1:])
-        )
-    )
-    return PermGroup(spec.num_vertices, tuple(gens))
-
-
 @dataclass(frozen=True)
 class Coloring:
     spec: DiagonalGraph
@@ -223,39 +174,3 @@ def verify_proper_coloring(spec: DiagonalGraph, coloring: Coloring):
             if v > u and color[u] == color[v]:
                 return (coords, nb)
     return None
-
-
-def hamming_graph_adjacent(u, v) -> bool:
-    return sum(a != b for a, b in zip(u, v)) == 1
-
-
-def hamming_witness(n: int, A: FiniteGroup):
-    """A clique and a proper sum-colouring of the Hamming graph H(n,|A|)
-    over the abelian group A; both are verified before returning."""
-    if not A.is_abelian():
-        raise DiagonalError("Hamming colouring needs an abelian group")
-    q = A.order
-    clique = [(0,) * (n - 1) + (t,) for t in range(q)]
-    for u, v in itertools.combinations(clique, 2):
-        if not hamming_graph_adjacent(u, v):
-            raise DiagonalError("clique construction broken")
-
-    def color(u):
-        c = A.identity
-        for t in u:
-            c = A.mul(c, t)
-        return c
-
-    coloring = {
-        u: color(u) for u in itertools.product(range(q), repeat=n)
-    }
-    for u, c in coloring.items():
-        for k in range(n):
-            for t in range(q):
-                if t != u[k]:
-                    v = u[:k] + (t,) + u[k + 1 :]
-                    if coloring[v] == c:
-                        raise DiagonalError(
-                            f"sum colouring not proper at {u},{v}"
-                        )
-    return clique, coloring

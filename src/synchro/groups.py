@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from math import gcd
 from pathlib import Path
 
 
@@ -94,13 +93,6 @@ class Permutation:
         return Permutation(tuple(images))
 
 
-def perm_order(p: Permutation) -> int:
-    order = 1
-    for cyc in p.cycles():
-        order = order * len(cyc) // gcd(order, len(cyc))
-    return order
-
-
 def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     """Parse '[1,0,2]' image-list or '(0 1)(2 3)' cycle literals."""
     text = text.strip()
@@ -151,9 +143,6 @@ class FiniteGroup:
     # a generating set (element indices), kept when known; used by callers
     # that need to act by generators rather than by all elements
     generators: tuple[int, ...] | None = None
-    # the permutations realizing each element, when the group was built as
-    # a closure of a PermGroup
-    perms: tuple[Permutation, ...] | None = None
     # set by the first read of `inverses`; a declared field, because a
     # functools.cached_property materializes __dict__, which slows every
     # attribute read on the instance (~2.5x on CPython 3.11)
@@ -188,13 +177,6 @@ class FiniteGroup:
             x = self.table[x][a]
             k += 1
         return k
-
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a)
-        )
 
     def conjugate(self, a: int, g: int) -> int:
         """a^g = g^-1 a g."""
@@ -261,29 +243,6 @@ def enumerate_elements(g: PermGroup, cap: int = 100_000) -> list[Permutation]:
     return elements
 
 
-def group_closure(g: PermGroup, cap: int = 100_000) -> FiniteGroup:
-    """Materialize <generators> as an explicit table, indexed in the
-    order of `enumerate_elements`, so indices are reproducible."""
-    elements = enumerate_elements(g, cap)
-    index = {p: i for i, p in enumerate(elements)}
-    n = len(elements)
-    table = tuple(
-        tuple(index[elements[a] * elements[b]] for b in range(n))
-        for a in range(n)
-    )
-    gens = tuple(
-        sorted({index[p] for p in g.generators if not p.is_identity()})
-    )
-    return FiniteGroup(
-        order=n,
-        table=table,
-        identity=0,
-        labels=tuple(str(p) for p in elements),
-        generators=gens or None,
-        perms=tuple(elements),
-    )
-
-
 @dataclass(frozen=True)
 class ConjugacyClassing:
     class_of: tuple[int, ...]
@@ -327,7 +286,7 @@ def schreier_structure(
     order), a Schreier transversal u -> t_u with t_u(point) = u, and the
     Schreier generators t_u * gen * t_gen(u)^-1 of the point stabilizer
     (Seress, Permutation Group Algorithms, ch. 4)."""
-    if point >= g.degree:
+    if not 0 <= point < g.degree:
         raise GroupFormatError(f"point {point} out of range")
     transversal = {point: g.identity()}
     orbit = [point]
@@ -610,15 +569,6 @@ def read_group_file(path) -> FiniteGroup:
     return g
 
 
-def write_group_file(g: FiniteGroup, path) -> None:
-    out = [f"order {g.order}"]
-    out += [" ".join(map(str, row)) for row in g.table]
-    if g.labels:
-        out.append("labels")
-        out.append(" ".join(g.labels))
-    Path(path).write_text("\n".join(out) + "\n")
-
-
 _NAME_RE = re.compile(r"^([a-z]+)(\d+)$")
 
 
@@ -638,7 +588,7 @@ def make_group(spec: str) -> FiniteGroup:
             g = direct_product(g, h)
         return g
     low = spec.lower()
-    words = low.split()
+    words = low.split() or [""]
     if words[0] in ("cyclic",) and len(words) == 2:
         return cyclic_group(int(words[1]))
     if words[0] == "dihedral" and len(words) == 2:

@@ -1,9 +1,10 @@
-"""Prime-field matrix representations and conjugation-orbit machinery.
+"""Matrix representations over F_2 and conjugation-orbit machinery.
 
-Matrices over F_2 are bit-packed: a row is a Python int with bit j for
-column j, so row reduction and multiplication are word-parallel XORs.
-Odd characteristic is supported generically (tuple-of-ints rows) but is
-not optimized; nothing here needs it beyond format completeness.
+A matrix is bit-packed: a row is a Python int with bit j for column j,
+so row reduction and multiplication are word-parallel XORs.  Only F_2
+is implemented, as the J4 representation, the fingerprints and the
+Four-Russians tables all live there; the constructors and the matrix
+file reader reject any other field with MatrixError.
 
 The fingerprint of a pair of involutions (x, y) is the 4-tuple of
 subspace dimensions obtained from the recursion
@@ -60,21 +61,25 @@ def _row_times(v: int, rows) -> int:
     return acc
 
 
-class BitMatrix:
-    """Square matrix over F_p; bit-packed rows for p = 2."""
+def _check_field(p: int) -> None:
+    if p != 2:
+        raise MatrixError(f"only F_2 is supported, not F_{p}")
 
-    __slots__ = ("p", "dim", "rows", "_digest")
+
+class BitMatrix:
+    """Square matrix over F_2 with bit-packed rows.  The field argument
+    of the constructors must be 2."""
+
+    __slots__ = ("dim", "rows", "_digest")
+    p = 2
 
     def __init__(self, p: int, dim: int, rows):
+        _check_field(p)
         if dim > 4096:
             raise MatrixError("dimension above supported bound 4096")
-        self.p = p
         self.dim = dim
-        if p == 2:
-            mask = (1 << dim) - 1
-            self.rows = tuple(r & mask for r in rows)
-        else:
-            self.rows = tuple(tuple(x % p for x in row) for row in rows)
+        mask = (1 << dim) - 1
+        self.rows = tuple(r & mask for r in rows)
         if len(self.rows) != dim:
             raise MatrixError("row count != dim")
         self._digest = None
@@ -83,132 +88,49 @@ class BitMatrix:
 
     @staticmethod
     def identity(p: int, dim: int) -> "BitMatrix":
-        if p == 2:
-            return BitMatrix(p, dim, [1 << i for i in range(dim)])
-        return BitMatrix(
-            p, dim, [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-        )
+        return BitMatrix(p, dim, [1 << i for i in range(dim)])
 
     @staticmethod
     def from_entries(p: int, entries) -> "BitMatrix":
         dim = len(entries)
-        if p == 2:
-            rows = [
-                sum((row[j] & 1) << j for j in range(dim)) for row in entries
-            ]
-            return BitMatrix(p, dim, rows)
-        return BitMatrix(p, dim, entries)
+        rows = [sum((row[j] & 1) << j for j in range(dim)) for row in entries]
+        return BitMatrix(p, dim, rows)
 
     def entry(self, i: int, j: int) -> int:
-        if self.p == 2:
-            return (self.rows[i] >> j) & 1
-        return self.rows[i][j]
+        return (self.rows[i] >> j) & 1
 
     # -- arithmetic --------------------------------------------------
 
     def __mul__(self, other: "BitMatrix") -> "BitMatrix":
-        if (self.p, self.dim) != (other.p, other.dim):
-            raise MatrixError("shape/field mismatch")
-        if self.p == 2:
-            brows = other.rows
-            return BitMatrix(2, self.dim, [_row_times(r, brows) for r in self.rows])
-        p, n = self.p, self.dim
-        bt = list(zip(*other.rows))
-        return BitMatrix(
-            p,
-            n,
-            [
-                [sum(x * y for x, y in zip(row, col)) % p for col in bt]
-                for row in self.rows
-            ],
-        )
-
-    def __add__(self, other: "BitMatrix") -> "BitMatrix":
-        if (self.p, self.dim) != (other.p, other.dim):
-            raise MatrixError("shape/field mismatch")
-        if self.p == 2:
-            return BitMatrix(2, self.dim, [a ^ b for a, b in zip(self.rows, other.rows)])
-        return BitMatrix(
-            self.p,
-            self.dim,
-            [
-                [(x + y) % self.p for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
-
-    def __sub__(self, other: "BitMatrix") -> "BitMatrix":
-        if self.p == 2:
-            return self + other
-        return BitMatrix(
-            self.p,
-            self.dim,
-            [
-                [(x - y) % self.p for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        if self.dim != other.dim:
+            raise MatrixError("shape mismatch")
+        brows = other.rows
+        return BitMatrix(2, self.dim, [_row_times(r, brows) for r in self.rows])
 
     def inverse(self) -> "BitMatrix":
+        """Gauss-Jordan on packed [work | aug] rows: the work row in the
+        low dim bits, the augmented identity row above it."""
         n = self.dim
-        if self.p == 2:
-            work = list(self.rows)
-            aug = [1 << i for i in range(n)]
-            for col in range(n):
-                piv = next(
-                    (i for i in range(col, n) if work[i] >> col & 1), None
-                )
-                if piv is None:
-                    raise MatrixError("matrix is singular")
-                work[col], work[piv] = work[piv], work[col]
-                aug[col], aug[piv] = aug[piv], aug[col]
-                for i in range(n):
-                    if i != col and work[i] >> col & 1:
-                        work[i] ^= work[col]
-                        aug[i] ^= aug[col]
-            return BitMatrix(2, n, aug)
-        p = self.p
-        work = [list(r) for r in self.rows]
-        aug = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        rows = [r | 1 << (n + i) for i, r in enumerate(self.rows)]
         for col in range(n):
-            piv = next((i for i in range(col, n) if work[i][col] % p), None)
+            bit = 1 << col
+            piv = next((i for i in range(col, n) if rows[i] & bit), None)
             if piv is None:
                 raise MatrixError("matrix is singular")
-            work[col], work[piv] = work[piv], work[col]
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = pow(work[col][col], -1, p)
-            work[col] = [x * inv % p for x in work[col]]
-            aug[col] = [x * inv % p for x in aug[col]]
-            for i in range(n):
-                if i != col and work[i][col]:
-                    c = work[i][col]
-                    work[i] = [
-                        (a - c * b) % p for a, b in zip(work[i], work[col])
-                    ]
-                    aug[i] = [
-                        (a - c * b) % p for a, b in zip(aug[i], aug[col])
-                    ]
-        return BitMatrix(p, n, aug)
-
-    def power(self, k: int) -> "BitMatrix":
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = BitMatrix.identity(self.p, self.dim)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            prow = rows[piv]
+            rows[piv] = rows[col]
+            rows = [r ^ prow if r & bit else r for r in rows]
+            rows[col] = prow
+        return BitMatrix(2, n, [r >> n for r in rows])
 
     def conjugate_by(self, g: "BitMatrix") -> "BitMatrix":
         return g.inverse() * self * g
 
     def is_identity(self) -> bool:
-        return self == BitMatrix.identity(self.p, self.dim)
+        return self == BitMatrix.identity(2, self.dim)
 
     def order(self, cutoff: int = 10_000) -> int:
-        ident = BitMatrix.identity(self.p, self.dim)
+        ident = BitMatrix.identity(2, self.dim)
         x = self
         for k in range(1, cutoff + 1):
             if x == ident:
@@ -224,27 +146,19 @@ class BitMatrix:
         if self._digest is None:
             h = hashlib.blake2b(digest_size=16)
             nbytes = (self.dim + 7) // 8
-            if self.p == 2:
-                for r in self.rows:
-                    h.update(r.to_bytes(nbytes, "little"))
-            else:
-                for row in self.rows:
-                    h.update(bytes(x % 256 for x in row))
+            for r in self.rows:
+                h.update(r.to_bytes(nbytes, "little"))
             self._digest = h.digest()
         return self._digest
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.p == other.p
-            and self.rows == other.rows
-        )
+        return isinstance(other, BitMatrix) and self.rows == other.rows
 
     def __hash__(self) -> int:
         return int.from_bytes(self.digest()[:8], "little")
 
     def __repr__(self) -> str:
-        return f"BitMatrix(p={self.p}, dim={self.dim})"
+        return f"BitMatrix(p=2, dim={self.dim})"
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +166,8 @@ class BitMatrix:
 
 
 def parse_matrix_file(path) -> list[BitMatrix]:
-    """Header 'p nmats dim dim', then each matrix as dim lines of dim
-    digits (whitespace-separated entries for p > 9)."""
+    """Header 'p nmats dim dim' with p = 2, then each matrix as dim lines
+    of dim binary digits, optionally whitespace-separated."""
     lines = Path(path).read_text().split("\n")
     rows_iter = iter(
         (lineno + 1, line.strip())
@@ -268,6 +182,7 @@ def parse_matrix_file(path) -> list[BitMatrix]:
         p, nmats, dim, dim2 = map(int, head.split())
     except ValueError as exc:
         raise MatrixError(f"{path}: bad header {head!r}") from exc
+    _check_field(p)
     if dim != dim2:
         raise MatrixError(f"{path}: matrices must be square")
     mats = []
@@ -278,33 +193,18 @@ def parse_matrix_file(path) -> list[BitMatrix]:
                 lineno, line = next(rows_iter)
             except StopIteration:
                 raise MatrixError(f"{path}: truncated matrix data") from None
-            if p <= 9 and " " not in line:
-                row = [int(ch) for ch in line]
-            else:
-                row = [int(t) for t in line.split()]
+            row = [int(t) for t in (line.split() if " " in line else line)]
             if len(row) != dim:
                 raise MatrixError(
                     f"{path}:{lineno}: expected {dim} entries, got {len(row)}"
                 )
-            if any(x < 0 or x >= p for x in row):
+            if any(x not in (0, 1) for x in row):
                 raise MatrixError(f"{path}:{lineno}: entry out of field range")
             entries.append(row)
-        mats.append(BitMatrix.from_entries(p, entries))
+        mats.append(BitMatrix.from_entries(2, entries))
     if next(rows_iter, None) is not None:
         raise MatrixError(f"{path}: trailing data after {nmats} matrices")
     return mats
-
-
-def write_matrix_file(mats, path) -> None:
-    if not mats:
-        raise MatrixError("nothing to write")
-    p, dim = mats[0].p, mats[0].dim
-    out = [f"{p} {len(mats)} {dim} {dim}"]
-    for m in mats:
-        for i in range(dim):
-            row = [str(m.entry(i, j)) for j in range(dim)]
-            out.append("".join(row) if p <= 9 else " ".join(row))
-    Path(path).write_text("\n".join(out) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +384,6 @@ class StandardGeneratorReport:
     def passed(self) -> bool:
         return all(exp == act for _, exp, act in self.checks)
 
-    def failures(self):
-        return [c for c in self.checks if c[1] != c[2]]
-
 
 def verify_standard_generators(
     a: BitMatrix, b: BitMatrix
@@ -552,8 +449,6 @@ class _RowSpace2:
 def _involution_basis(x: BitMatrix) -> _RowSpace2:
     """B_x, a row basis of V(1-x).  B_x x = B_x holds exactly when
     (1-x)^2 = 1 + x^2 is zero, that is when x is an involution."""
-    if x.p != 2:
-        raise MatrixError("fingerprints are implemented for p = 2 only")
     rows = x.rows
     bx = _RowSpace2(r ^ (1 << i) for i, r in enumerate(rows))
     if any(_row_times(v, rows) != v for v in bx.basis()):
@@ -577,8 +472,8 @@ def _fingerprint(
 
 def fingerprint(x: BitMatrix, y: BitMatrix) -> Fingerprint:
     """Conjugacy invariants of an involution pair; see module docstring."""
-    if (x.p, x.dim) != (y.p, y.dim):
-        raise MatrixError("shape/field mismatch")
+    if x.dim != y.dim:
+        raise MatrixError("shape mismatch")
     return _fingerprint(x, _involution_basis(x), y, _involution_basis(y))
 
 
@@ -629,29 +524,24 @@ def orbit_closure(seed: BitMatrix, conjugators) -> list[BitMatrix]:
     first with conjugators applied in listed order, so the element
     order (and hence any serialized output) is reproducible.
 
-    Over F_2 both products go through Four-Russians tables (Albrecht,
-    Bard & Hart, ACM TOMS 2010): those of each h are built once, those
-    of a frontier element m once for all conjugators."""
-    pairs = [(h, h.inverse()) for h in conjugators]
-    p, dim = seed.p, seed.dim
-    if any((h.p, h.dim) != (p, dim) for h, _ in pairs):
-        raise MatrixError("shape/field mismatch")
-    if p == 2:
-        nbytes = (dim + 7) // 8
-        by_tables = [(hinv.rows, _subset_xor_tables(h.rows)) for h, hinv in pairs]
+    Both products go through Four-Russians tables (Albrecht, Bard &
+    Hart, ACM TOMS 2010): those of each h are built once, those of a
+    frontier element m once for all conjugators."""
+    dim = seed.dim
+    nbytes = (dim + 7) // 8
+    by_tables = [
+        (h.inverse().rows, _subset_xor_tables(h.rows)) for h in conjugators
+    ]
+    if any(len(hinv_rows) != dim for hinv_rows, _ in by_tables):
+        raise MatrixError("shape mismatch")
 
-        def images(m):
-            mt = _subset_xor_tables(m.rows)
-            for hinv_rows, ht in by_tables:
-                yield BitMatrix(2, dim, [
-                    _row_times_tables(_row_times_tables(r, mt, nbytes), ht, nbytes)
-                    for r in hinv_rows
-                ])
-    else:
-
-        def images(m):
-            for h, hinv in pairs:
-                yield hinv * m * h
+    def images(m):
+        mt = _subset_xor_tables(m.rows)
+        for hinv_rows, ht in by_tables:
+            yield BitMatrix(2, dim, [
+                _row_times_tables(_row_times_tables(r, mt, nbytes), ht, nbytes)
+                for r in hinv_rows
+            ])
 
     seen = {seed}
     order = [seed]

@@ -273,14 +273,3 @@ def wilcox_check(matrices, pairing):
             }
         )
     return report
-
-
-def rank_and_selfpaired(multiplicities, indicators) -> tuple[int, int]:
-    """Permutation-character arithmetic: rank = sum of squared
-    constituent multiplicities, self-paired orbital count = indicator
-    sum with multiplicity."""
-    if len(multiplicities) != len(indicators):
-        raise OrbitalError("parallel lists required")
-    rank = sum(m * m for m in multiplicities)
-    selfpaired = sum(m * ind for m, ind in zip(multiplicities, indicators))
-    return rank, selfpaired

@@ -9,7 +9,6 @@ module implements those transfers as verified pipelines.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .groups import FiniteGroup, PermGroup, Permutation, enumerate_elements
@@ -63,6 +62,8 @@ def canonical_partition(P) -> tuple[frozenset[int], ...]:
     """Disjointness/cover check plus a deterministic part order (least
     element first)."""
     parts = [frozenset(p) for p in P]
+    if not all(parts):
+        raise WitnessError("partition has an empty part")
     total = sum(len(p) for p in parts)
     union = frozenset().union(*parts) if parts else frozenset()
     if total != len(union):
@@ -72,14 +73,9 @@ def canonical_partition(P) -> tuple[frozenset[int], ...]:
 
 def group_elements(g) -> list[Permutation]:
     """Accept a PermGroup (enumerated breadth-first, without building a
-    multiplication table), an explicit element list, or a FiniteGroup
-    built from permutations."""
+    multiplication table) or an explicit element list."""
     if isinstance(g, PermGroup):
         return enumerate_elements(g, cap=10**6)
-    if isinstance(g, FiniteGroup):
-        if g.perms is None:
-            raise WitnessError("FiniteGroup carries no permutations")
-        return list(g.perms)
     return list(g)
 
 
@@ -159,40 +155,3 @@ def factorisation_to_partition(
     if len(covered) != f.H.order:
         raise WitnessError("parts do not cover the group")
     return canonical_partition(parts)
-
-
-def cayley_inverse_clique(H: FiniteGroup, S, A):
-    """For a Cayley graph on H whose connection set S is identity-free,
-    inversion-closed and conjugation-closed, certify that the clique A
-    inverts to the clique A^-1."""
-    S = frozenset(S)
-    if H.identity in S:
-        raise WitnessError("connection set contains the identity")
-    if {H.inv(s) for s in S} != S:
-        raise WitnessError("connection set not inversion-closed")
-    for s in S:
-        for g in range(H.order):
-            if H.conjugate(s, g) not in S:
-                raise WitnessError(
-                    f"connection set not conjugation-closed at {s}^{g}"
-                )
-    A = sorted(set(A))
-    for a1, a2 in itertools.permutations(A, 2):
-        if H.mul(H.inv(a2), a1) not in S:
-            raise WitnessError(f"A is not a clique: ({a1},{a2}) not joined")
-    return frozenset(H.inv(a) for a in A)
-
-
-def clique_coclique_check(adjacent, num_vertices: int, A, B):
-    """None iff A is a clique, B a coclique, and |A||B| equals the
-    vertex count; otherwise a (reason, pair-or-sizes) violation."""
-    A, B = sorted(set(A)), sorted(set(B))
-    for u, v in itertools.combinations(A, 2):
-        if not adjacent(u, v):
-            return ("missing-edge", (u, v))
-    for u, v in itertools.combinations(B, 2):
-        if adjacent(u, v):
-            return ("extra-edge", (u, v))
-    if len(A) * len(B) != num_vertices:
-        return ("product", (len(A), len(B), num_vertices))
-    return None

@@ -1,6 +1,19 @@
+from pathlib import Path
+
 import pytest
 
 from synchro import groups, mapping
+
+
+def write_matrix_file(mats, path) -> None:
+    """Write F_2 matrices in the format matrep.parse_matrix_file reads."""
+    dim = mats[0].dim
+    out = [f"2 {len(mats)} {dim} {dim}"]
+    for m in mats:
+        out += [
+            "".join(str(m.entry(i, j)) for j in range(dim)) for i in range(dim)
+        ]
+    Path(path).write_text("\n".join(out) + "\n")
 
 
 def catalog_small():

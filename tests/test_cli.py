@@ -1,17 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from conftest import write_matrix_file
+from hypothesis import given, settings, strategies as st
 
 from synchro import chartab, cli, matrep, reproduce
 from synchro.chartab import bundled_table_path
-from synchro.matrep import (
-    BitMatrix,
-    StandardGeneratorReport,
-    write_matrix_file,
-)
+from synchro.matrep import BitMatrix, StandardGeneratorReport
 from synchro.orbitals import CollapsedAdjacency
 
 
@@ -165,6 +165,43 @@ class TestWitness:
         assert code == 1
         assert json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize("mode", ["sync", "sep", "factorise", "pipeline"])
+    def test_missing_second_argument(self, capsys, mode):
+        # each used to leak a TypeError traceback and exit 1
+        code, out, err = run(
+            capsys, "witness", mode, "--group", "z4", "--A", "[0,1]"
+        )
+        flag = "--P" if mode == "sync" else "--B"
+        assert code == 2
+        assert out == ""
+        assert err == f"error: witness {mode} needs {flag}\n"
+
+    @pytest.mark.parametrize(
+        "points", ["5", "[[0]]", "[0,4]", "[-1,0]", '["0",1]']
+    )
+    def test_malformed_points(self, capsys, tmp_path, points):
+        parts = tmp_path / "parts.json"
+        parts.write_text("[[0, 2], [1, 3]]")
+        for argv in (
+            ["sep", "--A", points, "--B", "[0,2]"],
+            ["sep", "--A", "[0,1]", "--B", points],
+            ["sync", "--A", points, "--P", str(parts)],
+        ):
+            code, out, err = run(capsys, "witness", "--group", "z4", *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_empty_part_rejected(self, capsys, tmp_path):
+        parts = tmp_path / "parts.json"
+        parts.write_text("[[0, 2], [1, 3], []]")
+        code, _, err = run(
+            capsys, "witness", "sync", "--group", "z4", "--A", "[0,1]",
+            "--P", str(parts),
+        )
+        assert code == 2
+        assert err == "error: partition has an empty part\n"
+
 
 class TestOrbitals:
     def test_s3_regular(self, capsys):
@@ -189,6 +226,19 @@ class TestOrbitals:
         assert out == ""
         assert err.startswith("error: no orbital") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("group", ["s3", "d8", "a4", "q8"])
+    def test_regular_flag_is_the_default(self, capsys, group):
+        argv = ["orbitals", "--group", group, "--wilcox"]
+        default = run(capsys, *argv)
+        assert default[0] == 0
+        assert run(capsys, *argv, "--regular") == default
+
+    def test_negative_base_rejected(self, capsys):
+        code, out, err = run(capsys, "orbitals", "--group", "s3", "--base", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: point -1 out of range\n"
+
 
 class TestMatrep:
     @pytest.mark.parametrize("number", ["0", "21"])
@@ -205,6 +255,28 @@ class TestMatrep:
         assert code == 2
         assert out == ""
         assert err.startswith("error: no orbital") and err.count("\n") == 1
+
+    def test_odd_characteristic_file_exits_2(self, capsys, tmp_path):
+        gens = tmp_path / "gens.txt"
+        gens.write_text("3 2 2 2\n12\n01\n10\n01\n")
+        code, out, err = run(
+            capsys, "matrep", "--gens", str(gens), "--verify-standard"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "F_2" in err
+        assert err.count("\n") == 1
+
+    def test_f2_payload_records_the_field(self, capsys, tmp_path):
+        gens = tmp_path / "gens.txt"
+        swap = BitMatrix.from_entries(2, [[0, 1], [1, 0]])
+        write_matrix_file([swap, BitMatrix.identity(2, 2)], gens)
+        code, out, _ = run(
+            capsys, "matrep", "--gens", str(gens), "--verify-standard"
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert (payload["p"], payload["dim"], payload["ok"]) == (2, 2, False)
 
 
 class TestChartab:
@@ -235,6 +307,41 @@ class TestErrorPaths:
         code, _, err = run(capsys, "complete-mapping", "--group", "monster")
         assert code == 2
         assert "error" in err
+
+    def test_empty_group_descriptor(self, capsys):
+        # used to leak an IndexError
+        code, _, err = run(capsys, "complete-mapping", "--group", "")
+        assert code == 2
+        assert err == "error: unknown group descriptor: ''\n"
+
+    @pytest.mark.parametrize("text", ["[]", "5", '{"group_order": 6}'])
+    def test_malformed_character_table(self, capsys, tmp_path, text):
+        table = tmp_path / "table.json"
+        table.write_text(text)
+        code, out, err = run(capsys, "chartab", "--table", str(table))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text", ["[0, 1, 2]", '{"phi": 5}', '{"phi": [0, "1", 2]}']
+    )
+    def test_malformed_phi_file(self, capsys, tmp_path, text):
+        phi = tmp_path / "phi.json"
+        phi.write_text(text)
+        code, out, err = run(
+            capsys, "diagonal", "--group", "z3", "--n", "3", "--color-odd",
+            "--phi", str(phi),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_directory_as_input_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "chartab", "--table", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_deeply_nested_word_is_a_usage_error(self, capsys, tmp_path):
         gens = tmp_path / "gens.txt"
@@ -445,3 +552,170 @@ class TestReproducePipeline:
         assert mismatched == ([] if bad is None else [unlisted[bad]])
         assert payload["ok"] is (bad is None)
         assert code == (0 if bad is None else 1)
+
+
+# ---------------------------------------------------------------------------
+# contract fuzz: whatever argv is drawn, cli.main raises nothing, exits with
+# a documented code, and prints nothing or one JSON document on stdout.
+# Draws stay small: group orders <= 64, --n <= 4, --budget <= 10 000, and
+# --color-odd only on groups whose complete-mapping search is immediate.
+
+MAPPING_GROUPS = ["z1", "z2", "z7", "klein", "s3", "q8", "a4", "d8", "z64",
+                  "z63", "z2 x z2 x z2", "d16"]
+SMALL_GROUPS = ["z1", "z2", "z3", "klein", "s3", "z4", "z5", "q8", "a4", "d8"]
+REGULAR_GROUPS = SMALL_GROUPS + ["s4", "z2 x a4", "q8 x z8", "elementary 2 6"]
+BAD_GROUPS = ["", "z0", "d7", "s", "monster", "elementary 4 2", "z3 x ",
+              "cyclic x", "elementary 2 -1"]
+POINT_LISTS = ["[0,1]", "[0,3]", "[0,2]", "[0]", "[]", "[0,1,2,3]", "[4]",
+               "[-1]", "[[0]]", '["0"]', "5", "null", "{}", "[0,", "[true]"]
+WORD_CHARS = "abtcdxz()[]{}^,-0123 "
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    swap = BitMatrix.from_entries(2, [[0, 1, 0, 0], [1, 0, 0, 0],
+                                      [0, 0, 1, 0], [0, 0, 0, 1]])
+    cycle = BitMatrix(2, 4, [0b0010, 0b0100, 0b1000, 0b0001])
+    write_matrix_file([swap, cycle], d / "gens.txt")
+    texts = {
+        "empty.txt": "",
+        "bad.json": "{",
+        "list.json": "[]",
+        "number.json": "5",
+        "group.grp": "order 3\n0 1 2\n1 2 0\n2 0 1\n",
+        "badgroup.grp": "order 2\n0 1\n1 2\n",
+        "phi.json": '{"phi": [0, 1, 2]}',
+        "badphi.json": '{"phi": [0, 0, 0]}',
+        "wrongphi.json": '{"phi": 5}',
+        "parts.json": "[[0, 2], [1, 3]]",
+        "overlap.json": "[[0, 1], [1, 2]]",
+        "emptypart.json": "[[0], []]",
+        "badparts.json": '[["a"]]',
+        "f3.txt": "3 2 2 2\n12\n01\n10\n01\n",
+        "truncated.txt": "2 2 4 4\n0100\n",
+        "fptable.txt": "1 2 3\n",
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    for sub, name, text in [
+        ("f3data", reproduce.GENS_FILE, texts["f3.txt"]),
+        ("smalldata", reproduce.GENS_FILE, (d / "gens.txt").read_text()),
+        ("emptychars", reproduce.CHARTABLE_FILE, ""),
+    ]:
+        (d / sub).mkdir()
+        (d / sub / name).write_text(text)
+    (d / "emptydir").mkdir()
+    return d
+
+
+@st.composite
+def cli_argv(draw, d):
+    def pick(good, bad=None):
+        # a good value four times in five, so that most draws get past
+        # argument checking and reach the computation
+        if bad is not None and draw(st.integers(0, 4)) == 0:
+            good = bad
+        if isinstance(good, st.SearchStrategy):
+            return draw(good)
+        return draw(st.sampled_from(list(good)))
+
+    def opt(flag, good, bad=None, odds=None):
+        # an optional flag is present in one draw out of `odds`, a
+        # required one (no odds) is left out in one draw out of ten
+        if odds is None:
+            if draw(st.integers(0, 9)) == 0:
+                return []
+        elif draw(st.integers(1, odds)) != 1:
+            return []
+        return [flag, str(pick(good, bad))]
+
+    def flag(name):
+        return [name] if draw(st.booleans()) else []
+
+    def files(*names):
+        return [str(d / n) for n in names]
+
+    # every file option also draws a missing file, an empty one and a
+    # directory
+    no_file = files("missing.txt", "empty.txt") + [str(d)]
+    argv = opt("--output", files("out.json"), files("no/out.json") + [str(d)], 6)
+    argv += opt("--manifest", files("manifest.json"), [str(d)], 6)
+    command = pick(["complete-mapping", "diagonal", "witness", "orbitals",
+                    "matrep", "chartab", "reproduce"])
+    argv.append(command)
+    group_files = files("group.grp", "badgroup.grp")
+    if command == "complete-mapping":
+        argv += opt("--group", MAPPING_GROUPS, BAD_GROUPS + group_files)
+        # always bounded: the default budget is 10^9
+        argv += ["--budget", str(pick(st.integers(0, 10_000), [-1]))]
+        argv += opt("--emit-mapping", files("phi_out.json"), [str(d)], 3)
+    elif command == "diagonal":
+        argv += opt("--group", SMALL_GROUPS, BAD_GROUPS + group_files)
+        n = pick(st.integers(3, 4), [-1, 0, 1, 2])
+        colour = "--color-even" if n % 2 == 0 else "--color-odd"
+        argv += ["--n", str(n)] + pick(
+            [[colour]], [[], ["--color-even"], ["--color-odd"]]
+        )
+        argv += flag("--verify")
+        argv += opt("--phi", files("phi.json"), no_file + files(
+            "badphi.json", "wrongphi.json", "list.json", "bad.json"), 2)
+        argv += opt("--emit-witness", files("witness.json"), [str(d)], 3)
+    elif command == "witness":
+        mode = pick(["sync", "sep", "factorise", "pipeline"], ["bogus"])
+        argv += [mode] + opt("--group", ["z4", "klein"],
+                             BAD_GROUPS + ["z1", "z3", "s3", "d8"])
+        points = st.sampled_from(POINT_LISTS) | st.text(max_size=6)
+        argv += opt("--A", ["[0,1]", "[0,2]", "[0,3]", "[0]"], points)
+        sync = mode == "sync"
+        argv += opt("--B", ["[0,2]", "[0,1]", "[0,1,2,3]"], points,
+                    3 if sync else None)
+        argv += opt("--P", files("parts.json"), no_file + files(
+            "overlap.json", "emptypart.json", "badparts.json",
+            "bad.json", "number.json"), None if sync else 3)
+    elif command == "orbitals":
+        argv += opt("--group", REGULAR_GROUPS, BAD_GROUPS + group_files)
+        argv += opt("--base", st.integers(0, 7), [-2, -1, 64, 65], 2)
+        argv += opt("--collapsed", st.integers(1, 8), [-1, 0, 64, 65], 2)
+        argv += flag("--wilcox") + flag("--regular")
+    elif command == "matrep":
+        argv += opt("--gens", files("gens.txt"),
+                    no_file + files("f3.txt", "truncated.txt"))
+        argv += flag("--verify-standard")
+        if draw(st.booleans()):
+            words = st.sampled_from(["a", "b", "t", "ab", "a^b", "", "(ab"])
+            words |= st.text(WORD_CHARS, max_size=8)
+            argv += ["--fingerprint", draw(words), draw(words)]
+        argv += opt("--collapsed", st.integers(1, 20), [-1, 0, 21], 3)
+        argv += opt(
+            "--table", [str(reproduce.DATA_DIR / "j4_fingerprint_table.txt")],
+            no_file + files("fptable.txt"), 2,
+        )
+    elif command == "chartab":
+        tables = [str(bundled_table_path(n)) for n in ("s3", "a4", "z2")]
+        argv += opt("--table", tables,
+                    no_file + files("bad.json", "list.json", "number.json"))
+        names = st.sampled_from(["1a", "2a", "3a", "3b", "2A", "zz"])
+        if draw(st.booleans()):
+            argv += ["--xi"] + [draw(names) for _ in range(3)]
+        if draw(st.booleans()):
+            argv += ["--hat"] + draw(st.lists(names, min_size=1, max_size=3))
+        argv += opt("--scale", st.integers(-3, 12), odds=2)
+    else:
+        argv.append(pick(list(reproduce.TARGETS), ["table3"]))
+        argv += opt("--data-dir", files(
+            "emptydir", "f3data", "smalldata", "emptychars", "nodir"), odds=2)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_contract_fuzz(fuzz_files, data):
+    argv = data.draw(cli_argv(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in {0, 1, 2, 3, 4}, (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if out.getvalue():
+        json.loads(out.getvalue())

@@ -1,7 +1,9 @@
+import inspect
 import itertools
 import random
 
 import pytest
+from conftest import write_matrix_file
 from hypothesis import given, settings, strategies as st
 
 from synchro import matrep
@@ -21,7 +23,6 @@ from synchro.matrep import (
     parse_word,
     standard_environment,
     verify_standard_generators,
-    write_matrix_file,
 )
 from synchro.orbitals import collapsed_adjacency, orbital_decomposition
 from synchro.groups import PermGroup
@@ -72,10 +73,23 @@ class TestBitMatrix:
     def test_inverse_roundtrip(self, m):
         assert m * m.inverse() == BitMatrix.identity(2, 5)
 
+    @pytest.mark.parametrize("dim", [13, 112])
+    def test_dense_inverse_roundtrip(self, dim):
+        rng = random.Random(dim)
+        for _ in range(4):
+            m = random_invertible(rng, dim)
+            inv = m.inverse()
+            one = BitMatrix.identity(2, dim)
+            assert m * inv == one and inv * m == one
+            assert inv.inverse() == m
+
     def test_singular_inverse_raises(self):
         z = BitMatrix(2, 3, [0, 0, 0])
-        with pytest.raises(MatrixError):
+        with pytest.raises(MatrixError, match="singular"):
             z.inverse()
+        # rank 2: the third row is the sum of the first two
+        with pytest.raises(MatrixError, match="singular"):
+            BitMatrix(2, 3, [0b011, 0b110, 0b101]).inverse()
 
     def test_order_matches_permutation_order(self):
         p = parse_permutation("(0 1)(2 3 4)", 5)
@@ -88,14 +102,31 @@ class TestBitMatrix:
 
     def test_power_negative(self):
         m = perm_matrix(parse_permutation("(0 1 2)", 3))
-        assert m.power(-1) == m.inverse()
-        assert m.power(3) == BitMatrix.identity(2, 3)
+        env = {"m": m}
+        assert eval_word(env, "m^-1") == m.inverse()
+        assert eval_word(env, "m^3") == BitMatrix.identity(2, 3)
+        assert eval_word(env, "m^-2") == m
 
     def test_odd_characteristic(self):
-        m = BitMatrix.from_entries(3, [[1, 1], [0, 1]])
-        sq = m * m
-        assert sq.entry(0, 1) == 2
-        assert m * m.inverse() == BitMatrix.identity(3, 2)
+        # only F_2 is implemented; every constructor rejects another field
+        with pytest.raises(MatrixError, match="F_3"):
+            BitMatrix(3, 2, [1, 2])
+        with pytest.raises(MatrixError, match="F_3"):
+            BitMatrix.identity(3, 2)
+        with pytest.raises(MatrixError, match="F_3"):
+            BitMatrix.from_entries(3, [[1, 1], [0, 1]])
+
+    def test_f2_only(self):
+        # no odd-characteristic arithmetic is left: rows are ints, the one
+        # field comparison is the guard, and the F_p-only methods are gone
+        src = inspect.getsource(matrep)
+        assert "p == 2" not in src and src.count("p != 2") == 1
+        assert "p != 2" in inspect.getsource(matrep._check_field)
+        for name in ("__add__", "__sub__", "power"):
+            assert not hasattr(BitMatrix, name)
+        assert not hasattr(matrep.StandardGeneratorReport, "failures")
+        assert all(type(r) is int for r in BitMatrix.identity(2, 3).rows)
+        assert BitMatrix.identity(2, 3).p == 2
 
     @given(perm_mats5, perm_mats5)
     def test_hash_consistency(self, a, b):
@@ -118,6 +149,12 @@ class TestMatrixFiles:
         path = tmp_path / "bad.txt"
         path.write_text("hello\n")
         with pytest.raises(MatrixError):
+            parse_matrix_file(path)
+
+    def test_odd_characteristic_file_rejected(self, tmp_path):
+        path = tmp_path / "f3.txt"
+        path.write_text("3 2 2 2\n12\n01\n10\n01\n")
+        with pytest.raises(MatrixError, match="F_2"):
             parse_matrix_file(path)
 
     def test_truncated_matrix_reports_line(self, tmp_path):
@@ -180,7 +217,8 @@ class TestWords:
         env = standard_environment(a, b)
         assert env["c"] == a * b
         assert env["d"] == b * a
-        assert env["t"] == (a * b * b).power(4)
+        ab2 = a * b * b
+        assert env["t"] == ab2 * ab2 * ab2 * ab2
 
 
 class TestStandardGenerators:
@@ -192,7 +230,6 @@ class TestStandardGenerators:
         by_name = {w: (e, x) for w, e, x in report.checks}
         assert by_name["order(a)"] == (2, 2)
         assert by_name["order(b)"] == (4, 5)
-        assert report.failures()
 
 
 def random_invertible(rng, dim: int) -> BitMatrix:
@@ -237,11 +274,14 @@ def reference_fingerprint(x: BitMatrix, y: BitMatrix) -> tuple:
                 out.sort(reverse=True)
         return out
 
-    ox, oy = one - x, one - y
+    def one_minus(m):
+        return BitMatrix(2, m.dim, [r ^ (1 << i) for i, r in enumerate(m.rows)])
+
+    ox, oy = one_minus(x), one_minus(y)
     v1 = basis(ox.rows + oy.rows)
     v2 = basis([times(v, ox) for v in v1] + [times(v, oy) for v in v1])
-    d1p = basis(ox.rows + (one - y * x * y).rows)
-    d2p = basis(oy.rows + (one - x * y * x).rows)
+    d1p = basis(ox.rows + one_minus(y * x * y).rows)
+    d2p = basis(oy.rows + one_minus(x * y * x).rows)
     return (len(v1), len(v2), len(d1p), len(d2p))
 
 
@@ -344,18 +384,6 @@ class TestOrbitClosure:
     def test_shape_mismatch(self):
         with pytest.raises(MatrixError):
             orbit_closure(BitMatrix.identity(2, 4), [BitMatrix.identity(2, 5)])
-
-    def test_odd_characteristic(self):
-        def f3(w):
-            p = parse_permutation(w, 4)
-            return BitMatrix.from_entries(
-                3, [[1 if p(i) == j else 0 for j in range(4)] for i in range(4)]
-            )
-
-        seed, conj = f3("(0 1)"), [f3("(0 1)"), f3("(0 1 2 3)")]
-        orbit = orbit_closure(seed, conj)
-        assert len(orbit) == 6
-        assert orbit == naive_closure(seed, conj)
 
     def test_transposition_class_of_s5(self):
         seed = perm_matrix(parse_permutation("(0 1)", 5))

@@ -6,7 +6,7 @@ from synchro import reproduce
 from synchro.groups import (
     PermGroup,
     Permutation,
-    group_closure,
+    enumerate_elements,
     make_group,
     pair_action,
     parse_permutation,
@@ -18,7 +18,6 @@ from synchro.orbitals import (
     collapsed_adjacency,
     intersection_algebra_expand,
     orbital_decomposition,
-    rank_and_selfpaired,
     wilcox_check,
 )
 
@@ -180,7 +179,7 @@ def brute_force_orbitals(action, base):
     """Suborbits and pairing from the full element list: the orbits of
     the elements fixing the base, and for suborbit x the suborbit
     holding h(base) for any element h with h(x) = base."""
-    elements = group_closure(action).perms
+    elements = enumerate_elements(action)
     stab = [p for p in elements if p(base) == base]
     orbits = {frozenset(p(x) for p in stab) for x in range(action.degree)}
     raw = sorted(
@@ -326,17 +325,3 @@ class TestWilcoxSemantics:
         assert report[0]["inverse_in_square"] is True
         assert report[1]["inverse_in_square"] is False
         assert report[1]["self_in_square"] is False
-
-
-class TestPermutationCharacterArithmetic:
-    def test_all_multiplicity_one(self):
-        assert rank_and_selfpaired([1, 1, 1], [1, 1, 1]) == (3, 3)
-
-    def test_multiplicity_two_constituent(self):
-        mult = [1] * 16 + [2]
-        ind = [1] * 16 + [0]
-        assert rank_and_selfpaired(mult, ind) == (20, 16)
-
-    def test_length_mismatch(self):
-        with pytest.raises(OrbitalError):
-            rank_and_selfpaired([1, 2], [1])

@@ -6,7 +6,6 @@ from synchro.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    group_closure,
     make_group,
     regular_perm_group,
 )
@@ -14,8 +13,6 @@ from synchro.witness import (
     ExactFactorisation,
     WitnessError,
     canonical_partition,
-    cayley_inverse_clique,
-    clique_coclique_check,
     factorisation_to_partition,
     make_sep_witness,
     make_sync_witness,
@@ -170,57 +167,3 @@ def test_random_factorisations_round_trip():
         sep = sync_witness_to_sep(reg, w)
         assert verify_sep_witness(reg, sep) is None
         done += 1
-
-
-class TestCayleyCliques:
-    def test_abelian_connection_set(self):
-        z5 = cyclic_group(5)
-        inverted = cayley_inverse_clique(z5, [1, 4], [0, 1])
-        assert inverted == frozenset([0, 4])
-
-    def test_rejects_identity_in_set(self):
-        z5 = cyclic_group(5)
-        with pytest.raises(WitnessError):
-            cayley_inverse_clique(z5, [0, 1, 4], [0, 1])
-
-    def test_rejects_non_inversion_closed(self):
-        z5 = cyclic_group(5)
-        with pytest.raises(WitnessError):
-            cayley_inverse_clique(z5, [1], [0, 1])
-
-    def test_rejects_conjugation_open_set(self):
-        s3 = make_group("s3")
-        # a single transposition-like class member is not enough
-        classes = [
-            x for x in range(6) if s3.element_order(x) == 2
-        ]
-        with pytest.raises(WitnessError):
-            cayley_inverse_clique(s3, classes[:1], [0, classes[0]])
-
-    def test_nonabelian_class_set(self):
-        s3 = make_group("s3")
-        involutions = [x for x in range(6) if s3.element_order(x) == 2]
-        clique = [0, involutions[0]]
-        inverted = cayley_inverse_clique(s3, involutions, clique)
-        assert inverted == frozenset(s3.inv(a) for a in clique)
-
-
-class TestCliqueCoclique:
-    def test_petersen_style_check(self):
-        def adjacent(u, v):
-            return (u // 2) == (v // 2) and u != v
-
-        # 3 disjoint edges: cliques of size 2, cocliques of size 3
-        assert clique_coclique_check(adjacent, 6, [0, 1], [0, 2, 4]) is None
-        assert clique_coclique_check(adjacent, 6, [0, 2], [0, 2, 4]) == (
-            "missing-edge",
-            (0, 2),
-        )
-        assert clique_coclique_check(adjacent, 6, [0, 1], [2, 3, 4]) == (
-            "extra-edge",
-            (2, 3),
-        )
-        assert clique_coclique_check(adjacent, 6, [0, 1], [0, 2]) == (
-            "product",
-            (2, 2, 6),
-        )
