@@ -1,19 +1,23 @@
 """Character-table ingestion and class-algebra structure constants.
 
 Tables are data files (JSON): class data plus character rows whose
-values may be numbers, [re, im] pairs, or strings evaluated
-symbolically (e.g. "(1+sqrt(5))/2").  Values are carried as
-high-precision complex floats; the structure-constant formulas return
-exact integers/rationals by reconstruction, with an explicit stability
-check rather than silent rounding.
-
-A brute-force counter over an explicit group serves as the independent
-oracle for the formulas at small order.
+values are numbers, [re, im] pairs, or strings in a closed grammar (int
+and float literals, unary + -, binary + - * / **, the names I and pi,
+one-argument sqrt and exp), e.g. "(1+sqrt(5))/2" or "exp(2*pi*I/3)".
+Strings are evaluated in high-precision complex arithmetic by a walk
+over their syntax tree, nothing else, and no subexpression may exceed
+2^PRECISION_BITS in absolute value.  Triple counts are exact integers
+rounded with an explicit integrality guard; xi = count / |G|.  A
+brute-force counter over an explicit group is the formulas' oracle.
 """
 
 from __future__ import annotations
 
+import ast
+import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -51,21 +55,52 @@ class CharacterTable:
         raise CharacterTableError(f"no class named {name!r}")
 
 
+_OPERATORS = {
+    ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Add: operator.add,
+    ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+_FUNCTIONS = {"sqrt": mpmath.sqrt, "exp": mpmath.exp}
+_PARSE_ERRORS = (
+    SyntaxError, RecursionError, MemoryError, ZeroDivisionError, ValueError
+)
+
+
+def _evaluate(node):
+    match node:
+        case ast.Constant(x) if type(x) in (int, float):
+            value = mpmath.mpf(x)
+        case ast.Name("I"):
+            value = mpmath.j
+        case ast.Name("pi"):
+            value = +mpmath.pi
+        case ast.UnaryOp(op, x) if type(op) in _OPERATORS:
+            value = _OPERATORS[type(op)](_evaluate(x))
+        case ast.BinOp(x, op, y) if type(op) in _OPERATORS:
+            value = _OPERATORS[type(op)](_evaluate(x), _evaluate(y))
+        case ast.Call(ast.Name(f), [x], []) if f in _FUNCTIONS:
+            value = _FUNCTIONS[f](_evaluate(x))
+        case _:
+            raise ValueError(f"{ast.unparse(node)[:40]!r} not in the grammar")
+    # bounds every exponent too: 9**9**9**9 would otherwise not finish
+    if not mpmath.mag(value) <= PRECISION_BITS:
+        raise ValueError(f"magnitude exceeds 2^{PRECISION_BITS}")
+    return value
+
+
 def _parse_value(v) -> mpmath.mpc:
     if isinstance(v, (int, float)):
         return mpmath.mpc(v)
     if isinstance(v, list) and len(v) == 2:
         return mpmath.mpc(_parse_value(v[0]).real, _parse_value(v[1]).real)
     if isinstance(v, str):
-        import sympy
-
         try:
-            expr = sympy.sympify(v)
-            val = sympy.N(expr, 60)
-            re, im = val.as_real_imag()
-            return mpmath.mpc(str(re), str(im))
-        except (sympy.SympifyError, TypeError, ValueError) as exc:
-            raise CharacterTableError(f"bad character value {v!r}") from exc
+            with mpmath.workprec(PRECISION_BITS):
+                return mpmath.mpc(_evaluate(ast.parse(v, mode="eval").body))
+        except _PARSE_ERRORS as exc:
+            raise CharacterTableError(
+                f"bad character value {v[:80]!r}: {exc or type(exc).__name__}"
+            ) from exc
     raise CharacterTableError(f"bad character value {v!r}")
 
 
@@ -121,9 +156,7 @@ def _validated_table(data, path) -> CharacterTable:
                 f"{path}: character row {ri} fails <chi,chi> = 1 "
                 f"(got {mpmath.nstr(norm / order, 10)})"
             )
-    indicators = (
-        tuple(data["indicators"]) if "indicators" in data else None
-    )
+    indicators = tuple(data["indicators"]) if "indicators" in data else None
     if indicators is not None and len(indicators) != len(characters):
         raise CharacterTableError(f"{path}: indicator list length")
     return CharacterTable(order, classes, characters, indicators)
@@ -140,20 +173,11 @@ def structure_constant_hat(t: CharacterTable, *class_names: str) -> int:
         idxs = [t.class_index(name) for name in class_names]
         total = mpmath.mpc(0)
         for row in t.characters:
-            num = mpmath.mpc(1)
-            for i in idxs:
-                num *= row[i]
-            total += num / row[0] ** (n - 2)
-        cent_prod = 1
-        for i in idxs:
-            cent_prod *= t.classes[i].centralizer_order
-        value = (
-            mpmath.mpf(t.group_order) ** (n - 1) / cent_prod * total
-        )
+            total += math.prod(row[i] for i in idxs) / row[0] ** (n - 2)
+        cent = math.prod(t.classes[i].centralizer_order for i in idxs)
+        value = mpmath.mpf(t.group_order) ** (n - 1) / cent * total
         if abs(value.imag) > 1e-3:
-            raise CharacterTableError(
-                f"non-real structure constant {value}"
-            )
+            raise CharacterTableError(f"non-real structure constant {value}")
         nearest = int(mpmath.nint(value.real))
         if abs(value.real - nearest) > 1e-3:
             raise CharacterTableError(
@@ -162,41 +186,11 @@ def structure_constant_hat(t: CharacterTable, *class_names: str) -> int:
         return nearest
 
 
-def structure_constant_xi(
-    t: CharacterTable, c1: str, c2: str, c3: str, scale: int | None = None
-):
-    """Class-representative-weighted triple constant
-    |G| / (|C(g_1)||C(g_2)||C(g_3)|) * sum_chi chi(g_1)chi(g_2)chi(g_3)
-    / chi(1), reconstructed as an exact rational (denominator bounded by
-    |G|).  Returns (xi, scale*xi as an integer) when a scale is given."""
-    with mpmath.workprec(PRECISION_BITS):
-        idxs = [t.class_index(n) for n in (c1, c2, c3)]
-        total = mpmath.mpc(0)
-        for row in t.characters:
-            total += row[idxs[0]] * row[idxs[1]] * row[idxs[2]] / row[0]
-        cent_prod = 1
-        for i in idxs:
-            cent_prod *= t.classes[i].centralizer_order
-        value = mpmath.mpf(t.group_order) / cent_prod * total
-        if abs(value.imag) > mpmath.mpf(2) ** (-PRECISION_BITS // 2):
-            raise CharacterTableError(f"non-real value {value}")
-        xi = Fraction(
-            str(mpmath.nstr(value.real, 50))
-        ).limit_denominator(t.group_order)
-        residual = abs(value.real - mpmath.mpf(xi.numerator) / xi.denominator)
-        if residual > mpmath.mpf(2) ** (-PRECISION_BITS // 3):
-            raise CharacterTableError(
-                f"rational reconstruction unstable for "
-                f"{mpmath.nstr(value.real, 30)}"
-            )
-    if scale is None:
-        return xi
-    scaled = xi * scale
-    if scaled.denominator != 1:
-        raise CharacterTableError(
-            f"scale {scale} * xi {xi} is not an integer"
-        )
-    return xi, int(scaled)
+def structure_constant_xi(t: CharacterTable, c1: str, c2: str, c3: str):
+    """Class-algebra constant |G| / (|C(g_1)||C(g_2)||C(g_3)|) *
+    sum_chi chi(g_1)chi(g_2)chi(g_3) / chi(1): the triple count over |G|,
+    as an exact rational."""
+    return Fraction(structure_constant_hat(t, c1, c2, c3), t.group_order)
 
 
 def brute_force_structure_constants(g: FiniteGroup):
@@ -216,12 +210,8 @@ def brute_force_structure_constants(g: FiniteGroup):
         for y in range(g.order):
             key = (cx, cls[y], cls[inv[row[y]]])
             counts[key] = counts.get(key, 0) + 1
-    table = {}
-    for i in range(k):
-        for j in range(k):
-            for m in range(k):
-                table[(i, j, m)] = counts.get((i, j, m), 0)
-    return table, classing
+    triples = itertools.product(range(k), repeat=3)
+    return {key: counts.get(key, 0) for key in triples}, classing
 
 
 def match_classes(

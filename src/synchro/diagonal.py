@@ -23,6 +23,10 @@ from .groups import FiniteGroup
 from .mapping import CompleteMapping, verify_complete_mapping
 
 
+# largest vertex set a colouring is tabulated for: |T|^(n-1) entries
+MAX_COLORED_VERTICES = 10**7
+
+
 class DiagonalError(Exception):
     pass
 
@@ -131,14 +135,7 @@ def diagonal_coloring_even(spec: DiagonalGraph) -> Coloring:
     if spec.n % 2 or spec.n <= 2:
         raise DiagonalError("even colouring needs even n > 2")
     T = spec.T
-    colors = [0] * spec.num_vertices
-    for coords in spec.vertices():
-        c = T.identity
-        for k in range(0, spec.n - 3, 2):
-            c = T.mul(c, T.mul(T.inv(coords[k]), coords[k + 1]))
-        c = T.mul(c, T.inv(coords[-1]))
-        colors[spec.rank(coords)] = c
-    return Coloring(spec, tuple(colors))
+    return _tabulate(spec, lambda coords: T.inv(coords[-1]))
 
 
 def diagonal_coloring_odd(
@@ -153,14 +150,29 @@ def diagonal_coloring_odd(
     if phi.group.order != T.order or not verify_complete_mapping(T, phi.phi):
         raise DiagonalError("phi is not a complete mapping of T")
     psi = [T.mul(g, phi.phi[g]) for g in range(T.order)]
-    colors = [0] * spec.num_vertices
-    for coords in spec.vertices():
+    return _tabulate(
+        spec, lambda coords: T.mul(T.inv(coords[-2]), psi[coords[-1]])
+    )
+
+
+def _tabulate(spec: DiagonalGraph, last) -> Coloring:
+    """Colour every vertex (t2,...,tn), in rank order, by the quotients
+    (t2^-1 t3)(t4^-1 t5)... of the coordinate pairs that leave one (n
+    even) or two (n odd) coordinates over, times last(t2,...,tn)."""
+    if spec.num_vertices > MAX_COLORED_VERTICES:
+        raise DiagonalError(
+            f"{spec.num_vertices} vertices exceed the colouring cap of "
+            f"{MAX_COLORED_VERTICES}"
+        )
+    T, pairs = spec.T, range(0, spec.n - 3, 2)
+
+    def color(coords):
         c = T.identity
-        for k in range(0, spec.n - 4, 2):
+        for k in pairs:
             c = T.mul(c, T.mul(T.inv(coords[k]), coords[k + 1]))
-        c = T.mul(c, T.mul(T.inv(coords[-2]), psi[coords[-1]]))
-        colors[spec.rank(coords)] = c
-    return Coloring(spec, tuple(colors))
+        return T.mul(c, last(coords))
+
+    return Coloring(spec, tuple(map(color, spec.vertices())))
 
 
 def verify_proper_coloring(spec: DiagonalGraph, coloring: Coloring):

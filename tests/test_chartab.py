@@ -1,10 +1,17 @@
 import json
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 
+from synchro import chartab
 from synchro.chartab import (
     CharacterTableError,
+    _parse_value,
     brute_force_structure_constants,
     bundled_table_path,
     load_character_table,
@@ -71,6 +78,54 @@ class TestLoading:
         vals = sorted(round(float(row[idx].real), 6) for row in t.characters)
         assert round((1 + 5 ** 0.5) / 2, 6) in vals
 
+    def test_root_of_unity_forms_agree(self):
+        omega = _parse_value("exp(2*pi*I/3)")
+        gap = abs(omega - _parse_value("-1/2+sqrt(3)/2*I"))
+        assert gap < mpmath.mpf(2) ** -200
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "__import__('os')",
+            "x",
+            "2^3",
+            "sqrt(2, 3)",
+            "1/0",
+            "(" * 300 + "1" + ")" * 300,
+            "1+" * 100_000 + "1",
+            "-" * 100_000 + "1",
+            "9**9**9**9",
+        ],
+        ids=["import", "name", "xor", "two-args", "zero-division",
+             "nested-300", "chain-1e5", "unary-1e5", "power-tower"],
+    )
+    def test_values_outside_the_grammar_rejected(self, value):
+        with pytest.raises(CharacterTableError, match="bad character value"):
+            _parse_value(value)
+
+    def test_no_sympy_import(self):
+        # a fresh interpreter: loading every bundled table and computing
+        # every constant must not pull sympy in
+        src = str(Path(chartab.__file__).parents[1])
+        code = textwrap.dedent(f"""
+            import itertools, sys
+            sys.path.insert(0, {src!r})
+            from synchro import chartab
+            for name in {BUNDLED!r}:
+                path = chartab.bundled_table_path(name)
+                t = chartab.load_character_table(path)
+                names = [c.name for c in t.classes]
+                for triple in itertools.product(names, repeat=3):
+                    chartab.structure_constant_hat(t, *triple)
+                    chartab.structure_constant_xi(t, *triple)
+            print("sympy" in sys.modules)
+        """)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout == "False\n"
+
 
 class TestSpotValues:
     def test_s3_triple_count(self, s3_table):
@@ -82,18 +137,11 @@ class TestSpotValues:
     def test_s3_xi(self, s3_table):
         assert structure_constant_xi(s3_table, "2a", "2a", "3a") == Fraction(1)
 
-    def test_xi_scaled_form(self, s3_table):
-        xi, scaled = structure_constant_xi(
-            s3_table, "2a", "2a", "3a", scale=6
-        )
-        assert (xi, scaled) == (Fraction(1), 6)
-
     def test_non_integral_scale_rejected(self, s3_table):
+        # the CLI rejects --scale 7 on this value (tests/test_cli.py)
         assert structure_constant_xi(s3_table, "3a", "3a", "3a") == Fraction(
             1, 3
         )
-        with pytest.raises(CharacterTableError):
-            structure_constant_xi(s3_table, "3a", "3a", "3a", scale=7)
 
     def test_unknown_class(self, s3_table):
         with pytest.raises(CharacterTableError):
@@ -115,7 +163,7 @@ class TestSpotValues:
 
 
 class TestOracleAgreement:
-    @pytest.mark.parametrize("name", ["s3", "d8", "a4"])
+    @pytest.mark.parametrize("name", ["s3", "d8", "a4", "s4", "a5"])
     def test_formula_matches_brute_force(self, name):
         g = make_group(name)
         t = load_character_table(bundled_table_path(name))
@@ -125,14 +173,11 @@ class TestOracleAgreement:
         for i in range(k):
             for j in range(k):
                 for m in range(k):
-                    got = structure_constant_hat(
-                        t,
-                        t.classes[i].name,
-                        t.classes[j].name,
-                        t.classes[m].name,
-                    )
+                    triple = [t.classes[c].name for c in (i, j, m)]
                     want = table[(mapping[i], mapping[j], mapping[m])]
-                    assert got == want
+                    assert structure_constant_hat(t, *triple) == want
+                    xi = structure_constant_xi(t, *triple)
+                    assert xi == Fraction(want, g.order)
 
     def test_brute_force_cap(self):
         import synchro.chartab as chartab
@@ -143,13 +188,11 @@ class TestOracleAgreement:
             chartab.brute_force_structure_constants(big)
 
     def test_xi_consistent_with_hat(self, s3_table):
-        # xi differs from the triple count by |C(g3)| / chi-degree scaling;
-        # verify via the defining formulas on one value
+        # the two formulas differ by one factor |G|: hat counts the
+        # triples in 2a x 2a x 3a with product 1, and xi = hat / |G|
         hat = structure_constant_hat(s3_table, "2a", "2a", "3a")
         xi = structure_constant_xi(s3_table, "2a", "2a", "3a")
-        # hat counts pairs (x,y) in 2a x 2a with (xy)^-1 in 3a fixed rep:
-        # hat = |2a||2a||3a| / |G| * sum ... ; here both are small integers
-        assert hat == 6 and xi == 1
+        assert hat == 6 and xi == Fraction(hat, 6) == 1
 
     def test_match_classes_requires_consistency(self):
         g = make_group("s3")

@@ -113,6 +113,21 @@ class TestDiagonal:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["z2", "--n", "80", "--color-even"],
+            ["z3", "--n", "25", "--color-odd"],
+        ],
+    )
+    def test_colouring_above_the_vertex_cap_exits_2(self, capsys, argv):
+        # 2^79 and 3^24 vertices: refused before anything is allocated
+        code, out, err = run(capsys, "diagonal", "--group", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "colouring cap" in err
+
     def test_witness_emission(self, capsys, tmp_path):
         target = tmp_path / "witness.json"
         code, _, _ = run(
@@ -297,6 +312,31 @@ class TestChartab:
         payload = json.loads(out)
         assert payload["xi"]["value"] == [1, 1]
         assert payload["xi"]["scaled"] == 6
+
+    def test_non_integral_scale_exits_2(self, capsys):
+        # xi(3a, 3a, 3a) = 1/3 in s3
+        code, out, err = run(
+            capsys, "chartab", "--table", str(bundled_table_path("s3")),
+            "--xi", "3a", "3a", "3a", "--scale", "7",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: scaled value not integral\n"
+
+    def test_value_outside_the_grammar_runs_nothing(self, capsys, tmp_path):
+        sentinel = tmp_path / "sentinel"
+        data = json.loads(bundled_table_path("s3").read_text())
+        data["characters"][1][1] = (
+            f"__import__('pathlib').Path({str(sentinel)!r})"
+            ".write_text('x') and -1"
+        )
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(data))
+        code, out, err = run(capsys, "chartab", "--table", str(table))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not sentinel.exists()
 
 
 class TestErrorPaths:
@@ -595,6 +635,10 @@ def fuzz_files(tmp_path_factory):
         "f3.txt": "3 2 2 2\n12\n01\n10\n01\n",
         "truncated.txt": "2 2 4 4\n0100\n",
         "fptable.txt": "1 2 3\n",
+        "hostile.json": json.dumps({
+            **json.loads(bundled_table_path("z2").read_text()),
+            "characters": [[1, 1], [1, "__import__('os').getpid() and -1"]],
+        }),
     }
     for name, text in texts.items():
         (d / name).write_text(text)
@@ -693,8 +737,8 @@ def cli_argv(draw, d):
         )
     elif command == "chartab":
         tables = [str(bundled_table_path(n)) for n in ("s3", "a4", "z2")]
-        argv += opt("--table", tables,
-                    no_file + files("bad.json", "list.json", "number.json"))
+        argv += opt("--table", tables, no_file + files(
+            "bad.json", "list.json", "number.json", "hostile.json"))
         names = st.sampled_from(["1a", "2a", "3a", "3b", "2A", "zz"])
         if draw(st.booleans()):
             argv += ["--xi"] + [draw(names) for _ in range(3)]

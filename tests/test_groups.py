@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -30,6 +31,16 @@ from synchro.groups import (
     symmetric_group,
     two_part,
 )
+
+
+def swap_intercalate(table, r1, r2, c1, c2):
+    """The table with its 2x2 Latin subsquare at rows r1, r2 and columns
+    c1, c2 transposed: still a Latin square."""
+    rows = [list(r) for r in table]
+    rows[r1][c1], rows[r1][c2] = rows[r1][c2], rows[r1][c1]
+    rows[r2][c1], rows[r2][c2] = rows[r2][c2], rows[r2][c1]
+    return tuple(map(tuple, rows))
+
 
 perms5 = st.permutations(range(5)).map(lambda xs: Permutation(tuple(xs)))
 
@@ -124,6 +135,28 @@ class TestCatalog:
         for spec, g in small_catalog:
             if g.order <= 24:
                 g.check_axioms()
+
+    @pytest.mark.parametrize("spec", ["z6", "s3", "d8", "q8", "a4", "z2 x s3"])
+    def test_light_agrees_with_brute_force(self, spec):
+        # every intercalate swap of the table: Light's verdict against
+        # the triple loop
+        g = make_group(spec)
+        n, t = g.order, g.table
+        for r1, r2 in itertools.combinations(range(n), 2):
+            for c1, c2 in itertools.combinations(range(n), 2):
+                if (t[r1][c1], t[r1][c2]) != (t[r2][c2], t[r2][c1]):
+                    continue
+                loop = swap_intercalate(t, r1, r2, c1, c2)
+                brute = all(
+                    loop[loop[a][b]][c] == loop[a][loop[b][c]]
+                    for a, b, c in itertools.product(range(n), repeat=3)
+                ) and all(loop[0][a] == loop[a][0] == a for a in range(n))
+                try:
+                    FiniteGroup(n, loop).check_axioms()
+                    light = True
+                except GroupFormatError:
+                    light = False
+                assert light == brute, (spec, r1, r2, c1, c2)
 
     def test_inverses(self, small_catalog):
         for spec, g in small_catalog:
@@ -302,7 +335,7 @@ class TestGroupFiles:
         self, tmp_path
     ):
         # z1001 with one repeated entry in row 5: identity and inverses
-        # survive, so only the Latin check can reject it at this order
+        # survive, and the Latin check runs first
         n = 1001
         rows = [[(a + b) % n for b in range(n)] for a in range(n)]
         rows[5][7] = rows[5][8]
@@ -311,6 +344,19 @@ class TestGroupFiles:
             f"order {n}\n" + "\n".join(" ".join(map(str, r)) for r in rows)
         )
         with pytest.raises(GroupFormatError, match="Latin"):
+            read_group_file(path)
+
+    def test_non_associative_loop_rejected_above_1000(self, tmp_path):
+        # z1002 with the intercalate at rows/columns 1 and 502 swapped: a
+        # Latin square with identity 0, so only associativity rejects it
+        n = 1002
+        table = cyclic_group(n).table
+        rows = swap_intercalate(table, 1, 502, 1, 502)
+        path = tmp_path / "loop1002.grp"
+        path.write_text(
+            f"order {n}\n" + "\n".join(" ".join(map(str, r)) for r in rows)
+        )
+        with pytest.raises(GroupFormatError, match="associativity fails"):
             read_group_file(path)
 
     def test_latin_check_on_columns(self):
