@@ -6,9 +6,10 @@ and float literals, unary + -, binary + - * / **, the names I and pi,
 one-argument sqrt and exp), e.g. "(1+sqrt(5))/2" or "exp(2*pi*I/3)".
 Strings are evaluated in high-precision complex arithmetic by a walk
 over their syntax tree, nothing else, and no subexpression may exceed
-2^PRECISION_BITS in absolute value.  Triple counts are exact integers
-rounded with an explicit integrality guard; xi = count / |G|.  A
-brute-force counter over an explicit group is the formulas' oracle.
+2^PRECISION_BITS in absolute value.  Both parts of an [re, im] pair
+must be real, up to 2^-(PRECISION_BITS/2).  Triple counts are exact
+integers rounded with an explicit integrality guard; xi = count / |G|.
+A brute-force counter over an explicit group is the formulas' oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class CharacterTable:
     group_order: int
     classes: tuple[ClassInfo, ...]
     characters: tuple[tuple[mpmath.mpc, ...], ...]
-    indicators: tuple[int, ...] | None = None
 
     def class_index(self, name: str) -> int:
         for i, c in enumerate(self.classes):
@@ -60,6 +60,7 @@ _OPERATORS = {
     ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
     ast.Pow: operator.pow,
 }
+_REAL_TOLERANCE = mpmath.mpf(2) ** -(PRECISION_BITS // 2)
 _FUNCTIONS = {"sqrt": mpmath.sqrt, "exp": mpmath.exp}
 _PARSE_ERRORS = (
     SyntaxError, RecursionError, MemoryError, ZeroDivisionError, ValueError
@@ -92,7 +93,10 @@ def _parse_value(v) -> mpmath.mpc:
     if isinstance(v, (int, float)):
         return mpmath.mpc(v)
     if isinstance(v, list) and len(v) == 2:
-        return mpmath.mpc(_parse_value(v[0]).real, _parse_value(v[1]).real)
+        real, imag = map(_parse_value, v)
+        if max(abs(real.imag), abs(imag.imag)) > _REAL_TOLERANCE:
+            raise CharacterTableError(f"non-real part in [re, im] {v!r:.80}")
+        return mpmath.mpc(real.real, imag.real)
     if isinstance(v, str):
         try:
             with mpmath.workprec(PRECISION_BITS):
@@ -105,7 +109,8 @@ def _parse_value(v) -> mpmath.mpc:
 
 
 def load_character_table(path) -> CharacterTable:
-    """Load and validate a table: size laws and row orthonormality."""
+    """Load and validate a table: size laws and row orthonormality.
+    Keys other than group_order, classes and characters are ignored."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -156,10 +161,7 @@ def _validated_table(data, path) -> CharacterTable:
                 f"{path}: character row {ri} fails <chi,chi> = 1 "
                 f"(got {mpmath.nstr(norm / order, 10)})"
             )
-    indicators = tuple(data["indicators"]) if "indicators" in data else None
-    if indicators is not None and len(indicators) != len(characters):
-        raise CharacterTableError(f"{path}: indicator list length")
-    return CharacterTable(order, classes, characters, indicators)
+    return CharacterTable(order, classes, characters)
 
 
 def structure_constant_hat(t: CharacterTable, *class_names: str) -> int:

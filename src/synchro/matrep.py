@@ -2,9 +2,12 @@
 
 A matrix is bit-packed: a row is a Python int with bit j for column j,
 so row reduction and multiplication are word-parallel XORs.  Only F_2
-is implemented, as the J4 representation, the fingerprints and the
-Four-Russians tables all live there; the constructors and the matrix
-file reader reject any other field with MatrixError.
+is implemented, as the J4 representation and the fingerprints live
+there; the constructors and the matrix file reader reject any other
+field with MatrixError.  Every product goes through Four-Russians
+tables (Albrecht, Bard & Hart, ACM TOMS 2010): table k of a matrix
+holds the XOR of every subset of its rows 8k..8k+7, so a row vector
+times the matrix is one lookup per byte of the vector.
 
 The fingerprint of a pair of involutions (x, y) is the 4-tuple of
 subspace dimensions obtained from the recursion
@@ -16,8 +19,9 @@ computed without ever enumerating the (possibly astronomical) point
 set.
 
 No full product is formed for a fingerprint.  B_x is a row basis of
-V(1-x), reduced from the rows x_i + e_i.  Over F_2, (1-x)^2 = 1 + x^2,
-so x is an involution exactly when B_x x = B_x, which is checked.  Then
+V(1-x) in reduced echelon form, from the rows x_i + e_i.  Over F_2,
+(1-x)^2 = 1 + x^2, so x is an involution exactly when B_x x = B_x,
+which is checked.  Then
 
     d1  = dim(B_x + B_y)
     d2  = dim(B_y(1-x) + B_x(1-y))
@@ -25,17 +29,23 @@ so x is an involution exactly when B_x x = B_x, which is checked.  Then
     d2p = dim(B_y + B_y x)
 
 d2 holds because V_1(1-x) = V(1-y)(1-x), as (1-x)^2 = 0, and d1p
-because V(1-yxy) = Vy(1-x)y = V(1-x)y; d2p likewise.  As the
-fingerprint is invariant under simultaneous conjugation,
-fingerprint(a, t^-1 m t) = fingerprint(t a t^-1, m): a collapsed matrix
-conjugates a once per row, not once per (row, orbit element).
+because V(1-yxy) = Vy(1-x)y = V(1-x)y; d2p likewise.  P_x, the
+projection onto span B_x, has as row c the basis vector with pivot c
+(else 0).  As B_x is reduced, v + v P_x is v reduced modulo B_x, so
+dim(B_x + W) = dim B_x + rank{w + w P_x} costs one table product per
+vector of W.  As the fingerprint is invariant under simultaneous
+conjugation, fingerprint(a, t^-1 m t) = fingerprint(t a t^-1, m): a
+collapsed matrix conjugates a once per row, builds the tables of its
+rows once, and those of an orbit element once for all rows, dropping
+them before the next element; tables take O(rank) memory, not
+O(|orbit|).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 
 class MatrixError(Exception):
@@ -51,13 +61,26 @@ class UnknownOrbitalError(Exception):
     usually means wrong generators or the wrong representation."""
 
 
-def _row_times(v: int, rows) -> int:
-    """The row vector v times the F_2 matrix with bit rows `rows`."""
+def _subset_xor_tables(rows) -> list[list[int]]:
+    """Four-Russians tables: entry s of table k is the XOR of the rows
+    8k + i over the bits i of s; a zero row (half of a projection's)
+    repeats the table without new ints.  A shorter last chunk gives a
+    shorter table, which the bits of a row (all below dim) never overrun."""
+    tables = []
+    for k in range(0, len(rows), 8):
+        table = [0]
+        for r in rows[k:k + 8]:
+            table += [t ^ r for t in table] if r else table
+        tables.append(table)
+    return tables
+
+
+def _row_times_tables(v: int, tables) -> int:
+    """The row vector v times the matrix whose tables these are; there
+    is one table per byte of v."""
     acc = 0
-    while v:
-        low = v & -v
-        acc ^= rows[low.bit_length() - 1]
-        v ^= low
+    for table, byte in zip(tables, v.to_bytes(len(tables), "little")):
+        acc ^= table[byte]
     return acc
 
 
@@ -70,7 +93,7 @@ class BitMatrix:
     """Square matrix over F_2 with bit-packed rows.  The field argument
     of the constructors must be 2."""
 
-    __slots__ = ("dim", "rows", "_digest")
+    __slots__ = ("dim", "rows")
     p = 2
 
     def __init__(self, p: int, dim: int, rows):
@@ -82,7 +105,6 @@ class BitMatrix:
         self.rows = tuple(r & mask for r in rows)
         if len(self.rows) != dim:
             raise MatrixError("row count != dim")
-        self._digest = None
 
     # -- construction ------------------------------------------------
 
@@ -104,8 +126,10 @@ class BitMatrix:
     def __mul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.dim != other.dim:
             raise MatrixError("shape mismatch")
-        brows = other.rows
-        return BitMatrix(2, self.dim, [_row_times(r, brows) for r in self.rows])
+        tables = _subset_xor_tables(other.rows)
+        return BitMatrix(
+            2, self.dim, [_row_times_tables(r, tables) for r in self.rows]
+        )
 
     def inverse(self) -> "BitMatrix":
         """Gauss-Jordan on packed [work | aug] rows: the work row in the
@@ -140,22 +164,11 @@ class BitMatrix:
 
     # -- identity and hashing ---------------------------------------
 
-    def digest(self) -> bytes:
-        # 128-bit digest of canonical row bytes; equality still compares
-        # rows in full, so a digest collision cannot corrupt a set
-        if self._digest is None:
-            h = hashlib.blake2b(digest_size=16)
-            nbytes = (self.dim + 7) // 8
-            for r in self.rows:
-                h.update(r.to_bytes(nbytes, "little"))
-            self._digest = h.digest()
-        return self._digest
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BitMatrix) and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return int.from_bytes(self.digest()[:8], "little")
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"BitMatrix(p=2, dim={self.dim})"
@@ -417,64 +430,69 @@ class Fingerprint:
         return (self.d1, self.d2, self.d1p, self.d2p)
 
 
-class _RowSpace2:
-    """Row span over F_2 in echelon form: bit-int rows keyed by their
-    leading bit."""
-
-    def __init__(self, vectors=(), pivots=None):
-        self.pivots: dict[int, int] = {} if pivots is None else dict(pivots)
-        pivots = self.pivots
-        get = pivots.get
-        for vec in vectors:
-            while vec:
-                col = vec.bit_length() - 1
-                row = get(col)
-                if row is None:
-                    pivots[col] = vec
-                    break
-                vec ^= row
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def basis(self):
-        return list(self.pivots.values())
-
-    def dim_with(self, vectors) -> int:
-        """dim of this span plus `vectors`; this span is left as it is."""
-        return _RowSpace2(vectors, self.pivots).dim
+def _echelon(vectors) -> dict[int, int]:
+    """A basis of the F_2 span of bit-int vectors in echelon form, each
+    row keyed by its bit length (leading bit + 1); its size is the rank."""
+    pivots: dict[int, int] = {}
+    get = pivots.get
+    for vec in vectors:
+        while row := get(vec.bit_length()):
+            vec ^= row
+        if vec:
+            pivots[vec.bit_length()] = vec
+    return pivots
 
 
-def _involution_basis(x: BitMatrix) -> _RowSpace2:
-    """B_x, a row basis of V(1-x).  B_x x = B_x holds exactly when
-    (1-x)^2 = 1 + x^2 is zero, that is when x is an involution."""
-    rows = x.rows
-    bx = _RowSpace2(r ^ (1 << i) for i, r in enumerate(rows))
-    if any(_row_times(v, rows) != v for v in bx.basis()):
-        raise MatrixError("fingerprint needs involutions (x^2 = y^2 = 1)")
-    return bx
+class _Involution(NamedTuple):
+    """What a fingerprint needs of an involution x: B_x in reduced
+    echelon form, x's tables and the tables of P_x (module docstring)."""
+
+    basis: list[int]
+    tables: list[list[int]]
+    proj: list[list[int]]
+
+    @staticmethod
+    def of(x: BitMatrix) -> "_Involution":
+        pivots = _echelon(r ^ (1 << i) for i, r in enumerate(x.rows))
+        lengths = sorted(pivots)
+        # clear each pivot column from the rows above it
+        for k, n in enumerate(lengths):
+            row, bit = pivots[n], 1 << (n - 1)
+            for above in lengths[k + 1:]:
+                if pivots[above] & bit:
+                    pivots[above] ^= row
+        basis = list(pivots.values())
+        tables = _subset_xor_tables(x.rows)
+        if any(_row_times_tables(v, tables) != v for v in basis):
+            raise MatrixError("fingerprint needs involutions (x^2 = y^2 = 1)")
+        proj = _subset_xor_tables([pivots.get(n, 0) for n in range(1, x.dim + 1)])
+        return _Involution(basis, tables, proj)
 
 
-def _fingerprint(
-    x: BitMatrix, bx: _RowSpace2, y: BitMatrix, by: _RowSpace2
-) -> Fingerprint:
-    """fingerprint(x, y) from bx = B_x and by = B_y; see module docstring."""
-    xs, ys = bx.basis(), by.basis()
-    xy = [_row_times(v, y.rows) for v in xs]  # B_x y
-    yx = [_row_times(v, x.rows) for v in ys]  # B_y x
-    # v(1-y) = v + vy
-    d2 = _RowSpace2(
-        [v ^ w for v, w in zip(ys, yx)] + [v ^ w for v, w in zip(xs, xy)]
-    ).dim
-    return Fingerprint(bx.dim_with(ys), d2, bx.dim_with(xy), by.dim_with(yx))
+def _fingerprint(x: _Involution, y: _Involution) -> Fingerprint:
+    """fingerprint(x, y) from the data of x and y; see module docstring."""
+    xs, xt, xp = x
+    ys, yt, yp = y
+    xy = [_row_times_tables(v, yt) for v in xs]  # B_x y
+    yx = [_row_times_tables(v, xt) for v in ys]  # B_y x
+    # B_y(1-x) + B_x(1-y), as v(1-x) = v + vx
+    d2 = len(_echelon([v ^ w for v, w in zip(ys + xs, yx + xy)]))
+
+    def dim_with(basis, proj, vectors):  # dim(span basis + vectors)
+        return len(basis) + len(_echelon(
+            v ^ _row_times_tables(v, proj) for v in vectors
+        ))
+
+    return Fingerprint(
+        dim_with(xs, xp, ys), d2, dim_with(xs, xp, xy), dim_with(ys, yp, yx)
+    )
 
 
 def fingerprint(x: BitMatrix, y: BitMatrix) -> Fingerprint:
     """Conjugacy invariants of an involution pair; see module docstring."""
     if x.dim != y.dim:
         raise MatrixError("shape mismatch")
-    return _fingerprint(x, _involution_basis(x), y, _involution_basis(y))
+    return _fingerprint(_Involution.of(x), _Involution.of(y))
 
 
 # ---------------------------------------------------------------------------
@@ -499,36 +517,14 @@ def centralizer_generators(
     return h1, h2
 
 
-def _subset_xor_tables(rows) -> list[list[int]]:
-    """Four-Russians tables: entry s of table k is the XOR of the rows
-    8k + i over the bits i of s.  A shorter last chunk gives a shorter
-    table, which the bits of a row (all below dim) never overrun."""
-    tables = []
-    for k in range(0, len(rows), 8):
-        table = [0]
-        for r in rows[k:k + 8]:
-            table += [t ^ r for t in table]
-        tables.append(table)
-    return tables
-
-
-def _row_times_tables(v: int, tables, nbytes: int) -> int:
-    acc = 0
-    for table, byte in zip(tables, v.to_bytes(nbytes, "little")):
-        acc ^= table[byte]
-    return acc
-
-
 def orbit_closure(seed: BitMatrix, conjugators) -> list[BitMatrix]:
     """Close {seed} under m -> h^-1 m h for each conjugator.  Breadth
     first with conjugators applied in listed order, so the element
     order (and hence any serialized output) is reproducible.
 
-    Both products go through Four-Russians tables (Albrecht, Bard &
-    Hart, ACM TOMS 2010): those of each h are built once, those of a
-    frontier element m once for all conjugators."""
+    The tables of each h are built once, those of a frontier element m
+    once for all conjugators."""
     dim = seed.dim
-    nbytes = (dim + 7) // 8
     by_tables = [
         (h.inverse().rows, _subset_xor_tables(h.rows)) for h in conjugators
     ]
@@ -539,7 +535,7 @@ def orbit_closure(seed: BitMatrix, conjugators) -> list[BitMatrix]:
         mt = _subset_xor_tables(m.rows)
         for hinv_rows, ht in by_tables:
             yield BitMatrix(2, dim, [
-                _row_times_tables(_row_times_tables(r, mt, nbytes), ht, nbytes)
+                _row_times_tables(_row_times_tables(r, mt), ht)
                 for r in hinv_rows
             ])
 
@@ -595,15 +591,24 @@ def collapsed_adjacency_matrep(
 
     rep_words[j] conjugates a into orbital j (index 0 = the identity
     word); it is a BitMatrix or a word over standard_environment(a, b),
-    which is built only when some entry is a word.  The fingerprint
-    table assigns each conjugate pair to its orbital.  Unknown
-    fingerprints raise UnknownOrbitalError; i out of range, MatrixError.
+    which is built only when some entry is a word.  The orbit is closed
+    under `conjugators`, which must generate the centralizer of a; they
+    may be omitted only when every entry is a word, and then J4's
+    centralizer_generators(a, b) are used.  The fingerprint table
+    assigns each conjugate pair to its orbital.  Unknown fingerprints
+    raise UnknownOrbitalError; i out of range, MatrixError.
     """
     from .orbitals import CollapsedAdjacency
 
-    if not 0 <= i < len(rep_words):
-        raise MatrixError(f"no orbital {i} (0-based) in rank {len(rep_words)}")
+    rank = len(rep_words)
+    if not 0 <= i < rank:
+        raise MatrixError(f"no orbital {i} (0-based) in rank {rank}")
     words = [w for w in rep_words if not isinstance(w, BitMatrix)]
+    if conjugators is None and len(words) < rank:
+        raise MatrixError(
+            "a BitMatrix representative needs explicit conjugators: the "
+            "centralizer words are J4's, for word representatives only"
+        )
     env = standard_environment(a, b) if words else None
     reps = [
         w if isinstance(w, BitMatrix) else eval_word(env, w)
@@ -612,22 +617,17 @@ def collapsed_adjacency_matrep(
     if conjugators is None:
         conjugators = centralizer_generators(a, b)
     orbit = orbit_closure(a.conjugate_by(reps[i]), conjugators)
-    bases = [_involution_basis(m) for m in orbit]
-    rank = len(rep_words)
-    matrix = []
-    for j in range(rank):
-        # fingerprint(a, t^-1 m t) = fingerprint(t a t^-1, m)
-        tj = reps[j]
-        aj = tj * a * tj.inverse()
-        bj = _involution_basis(aj)
-        row = [0] * rank
-        for m, bm in zip(orbit, bases):
-            fp = _fingerprint(aj, bj, m, bm).as_tuple()
+    # fingerprint(a, t^-1 m t) = fingerprint(t a t^-1, m)
+    row_data = [_Involution.of(t * a * t.inverse()) for t in reps]
+    matrix = [[0] * rank for _ in range(rank)]
+    for m in orbit:
+        data = _Involution.of(m)
+        for row, aj in zip(matrix, row_data):
+            fp = _fingerprint(aj, data).as_tuple()
             try:
                 row[fingerprint_table[fp]] += 1
             except KeyError:
                 raise UnknownOrbitalError(
                     f"fingerprint {fp} not in classification table"
                 ) from None
-        matrix.append(tuple(row))
-    return CollapsedAdjacency(i, tuple(matrix))
+    return CollapsedAdjacency(i, tuple(map(tuple, matrix)))

@@ -103,6 +103,34 @@ class TestLoading:
         with pytest.raises(CharacterTableError, match="bad character value"):
             _parse_value(value)
 
+    @pytest.mark.parametrize(
+        "pair", [["I", 0], ["1", "I"], [0, "sqrt(-2)"]], ids=["re", "im", "sqrt"]
+    )
+    def test_non_real_pair_part_rejected(self, pair):
+        # each part of [re, im] is a real number; an imaginary part used
+        # to be dropped without a word
+        with pytest.raises(CharacterTableError, match="non-real") as exc:
+            _parse_value(pair)
+        assert repr(pair) in str(exc.value)
+
+    def test_real_pair_parts_load(self):
+        value = _parse_value(["sqrt(5)/2", "-1/2"])
+        assert abs(value - mpmath.mpc(mpmath.sqrt(5) / 2, -0.5)) < 1e-15
+        # a real closed form whose evaluation leaves a rounding residue
+        assert _parse_value(["exp(pi*I)", 0]) == -1
+
+    def test_indicators_ignored(self, tmp_path):
+        # no computation reads Frobenius-Schur indicators: any list, even
+        # one of the wrong length, loads
+        data = json.loads(bundled_table_path("s3").read_text())
+        assert "indicators" in data
+        data["indicators"] = [1]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(data))
+        t = load_character_table(path)
+        assert t == load_character_table(bundled_table_path("s3"))
+        assert not hasattr(t, "indicators")
+
     def test_no_sympy_import(self):
         # a fresh interpreter: loading every bundled table and computing
         # every constant must not pull sympy in

@@ -339,6 +339,17 @@ class TestChartab:
         assert not sentinel.exists()
 
 
+    def test_non_real_pair_part_exits_2(self, capsys, tmp_path):
+        data = json.loads(bundled_table_path("z2").read_text())
+        data["characters"][1][1] = ["1", "I"]
+        table = tmp_path / "imag.json"
+        table.write_text(json.dumps(data))
+        code, out, err = run(capsys, "chartab", "--table", str(table))
+        assert code == 2
+        assert out == ""
+        assert err == "error: non-real part in [re, im] ['1', 'I']\n"
+
+
 class TestErrorPaths:
     def test_usage_error(self, capsys):
         assert run(capsys, "nonsense-command")[0] == 2

@@ -65,6 +65,24 @@ class TestBitMatrix:
                 want = sum(a.entry(i, k) * b.entry(k, j) for k in range(4)) % 2
                 assert c.entry(i, j) == want
 
+    @pytest.mark.parametrize("dim", [1, 7, 8, 9, 112])
+    def test_product_matches_entrywise(self, dim):
+        # one short table, a short last chunk, whole chunks, one bit over
+        rng = random.Random(dim)
+        a, b = (
+            BitMatrix(2, dim, [rng.getrandbits(dim) for _ in range(dim)])
+            for _ in range(2)
+        )
+        ea, eb = (
+            [[m.entry(i, j) for j in range(dim)] for i in range(dim)]
+            for m in (a, b)
+        )
+        c = a * b
+        for i in range(dim):
+            for j in range(dim):
+                want = sum(ea[i][k] & eb[k][j] for k in range(dim)) % 2
+                assert c.entry(i, j) == want
+
     @given(bits4, bits4, bits4)
     def test_mul_associative(self, a, b, c):
         assert (a * b) * c == a * (b * c)
@@ -309,7 +327,7 @@ class TestFingerprint:
         with pytest.raises(MatrixError):
             fingerprint(BitMatrix.identity(2, 4), BitMatrix.identity(2, 5))
 
-    @pytest.mark.parametrize("dim", [13, 64, 112])
+    @pytest.mark.parametrize("dim", [8, 9, 13, 64, 112])
     def test_matches_full_product_reference(self, dim):
         rng = random.Random(dim)
         for k in range(6):
@@ -394,8 +412,8 @@ class TestOrbitClosure:
         orbit = orbit_closure(seed, conj)
         assert len(orbit) == 10
         # deterministic ordering
-        assert [m.digest() for m in orbit_closure(seed, conj)] == [
-            m.digest() for m in orbit
+        assert [m.rows for m in orbit_closure(seed, conj)] == [
+            m.rows for m in orbit
         ]
 
 
@@ -534,6 +552,44 @@ class TestMatrepCrossValidation:
         monkeypatch.setattr(matrep, "standard_environment", boom)
         ca = collapsed_adjacency_matrep(a, b, reps, table, 1, conjugators=centralizer)
         assert ca.matrix == collapsed_adjacency(action, dec, 1).matrix
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matrix_reps_need_conjugators(self, s5_setup, monkeypatch, mixed):
+        _, dec, a, b, reps, table, _ = s5_setup
+
+        def boom(*args):
+            raise AssertionError("J4 centralizer words evaluated")
+
+        monkeypatch.setattr(matrep, "centralizer_generators", boom)
+        monkeypatch.setattr(matrep, "orbit_closure", boom)
+        if mixed:  # one matrix among words is enough
+            reps = [""] + reps[1:]
+        with pytest.raises(MatrixError, match="needs explicit conjugators"):
+            collapsed_adjacency_matrep(a, b, reps, table, 1)
+
+    def test_dense_block_copies(self, s5_setup):
+        # four copies of the 5-dim action (dim 20: the last table chunk
+        # has 4 rows), every matrix conjugated by one dense matrix
+        action, dec, a, b, reps, table, centralizer = s5_setup
+        c = random_invertible(random.Random(20), 20)
+
+        def dense(m):
+            rows = [r << 5 * k for k in range(4) for r in m.rows]
+            return BitMatrix(2, 20, rows).conjugate_by(c)
+
+        a20, b20 = dense(a), dense(b)
+        reps20 = [dense(r) for r in reps]
+        conj20 = [dense(h) for h in centralizer]
+        table20 = {
+            fingerprint(a20, a20.conjugate_by(r)).as_tuple(): j
+            for j, r in enumerate(reps20)
+        }
+        assert len(table20) == dec.rank
+        for i in range(dec.rank):
+            ca = collapsed_adjacency_matrep(
+                a20, b20, reps20, table20, i, conjugators=conj20
+            )
+            assert ca.matrix == collapsed_adjacency(action, dec, i).matrix
 
     def test_word_reps(self, s5_setup):
         action, dec, a, b, reps, table, centralizer = s5_setup
