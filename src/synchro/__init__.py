@@ -3,9 +3,12 @@ groups: complete-mapping search, diagonal-graph colourings, witness
 verification and transfer, suborbit and collapsed-adjacency
 computations in permutation and matrix representations, and class
 algebra structure constants from character tables.
+
+Each module is imported on first use (PEP 562), so `import
+synchro.matrep` does not load `chartab` and its mpmath dependency.
 """
 
-from . import chartab, diagonal, groups, mapping, matrep, orbitals, witness
+import importlib
 
 __version__ = "0.1.0"
 
@@ -18,3 +21,9 @@ __all__ = [
     "orbitals",
     "witness",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,27 +18,39 @@ separate the orbitals, which lets collapsed adjacency matrices be
 computed without ever enumerating the (possibly astronomical) point
 set.
 
-No full product is formed for a fingerprint.  B_x is a row basis of
-V(1-x) in reduced echelon form, from the rows x_i + e_i.  Over F_2,
-(1-x)^2 = 1 + x^2, so x is an involution exactly when B_x x = B_x,
-which is checked.  Then
+No full product is formed for a fingerprint.  B_x is an echelon basis
+of A = V(1-x), from the rows x_i + e_i.  Over F_2, (1-x)^2 = 1 + x^2,
+so x is an involution exactly when B_x x = B_x, which is checked for
+every involution, orbit elements included.  With B = V(1-y),
+U = B(1-x) inside A, W = A(1-y) inside B and K = A meet B,
 
-    d1  = dim(B_x + B_y)
-    d2  = dim(B_y(1-x) + B_x(1-y))
-    d1p = dim(B_x + B_x y)
-    d2p = dim(B_y + B_y x)
+    d1  = dim(A + B)  = dim A + dim B - dim K
+    d2p = dim(B + Bx) = dim(B + U) = dim B - dim K + dim(K + U)
+    d1p = dim(A + Ay) = dim(A + W) = dim A - dim K + dim(K + W)
+    d2  = dim(U + W)  = dim U + dim W - dim((U meet K) meet (W meet K))
 
-d2 holds because V_1(1-x) = V(1-y)(1-x), as (1-x)^2 = 0, and d1p
-because V(1-yxy) = Vy(1-x)y = V(1-x)y; d2p likewise.  P_x, the
-projection onto span B_x, has as row c the basis vector with pivot c
-(else 0).  As B_x is reduced, v + v P_x is v reduced modulo B_x, so
-dim(B_x + W) = dim B_x + rank{w + w P_x} costs one table product per
-vector of W.  As the fingerprint is invariant under simultaneous
-conjugation, fingerprint(a, t^-1 m t) = fingerprint(t a t^-1, m): a
-collapsed matrix conjugates a once per row, builds the tables of its
-rows once, and those of an orbit element once for all rows, dropping
-them before the next element; tables take O(rank) memory, not
-O(|orbit|).
+as U meet W lies in K.  d2 holds because V_1(1-x) = V(1-y)(1-x), as
+(1-x)^2 = 0, and d1p because V(1-yxy) = Vy(1-x)y = V(1-x)y; d2p
+likewise.  A pair costs four eliminations into pivot lists indexed by
+bit length and at most dim A + dim B table products.  The
+intersections are Zassenhaus's: over a basis of one space shifted
+above the n low bits, insert each vector v of the other tagged as
+v << n | v.  A row whose high part vanishes leaves its tag, a vector
+of the intersection, in the low slots; the rest land above bit n, and
+each dimension above is a count of landings.  B_y tagged over B_x
+leaves K in the low slots, and U and W tagged over K leave U meet K
+and W meet K; the last elimination inserts one into the other.  As
+(1-x) kills A, which contains K, U is spanned by b(1-x) = b + bx over
+the vectors b of B_y whose leading bit leads no vector of K's echelon
+basis (they span a complement of K in B); W likewise, from B_x and y.
+
+As the fingerprint is invariant under simultaneous conjugation,
+fingerprint(a, t^-1 m t) = fingerprint(t a t^-1, m): a collapsed matrix
+conjugates a once per row and builds the data of its rows once.  The
+breadth-first closure streams each orbit element with the tables that
+form its images; those tables also serve the element's fingerprints
+and are dropped before the next element, so a collapsed matrix keeps
+tables for O(rank) involutions, not O(|orbit|).
 """
 
 from __future__ import annotations
@@ -63,14 +75,13 @@ class UnknownOrbitalError(Exception):
 
 def _subset_xor_tables(rows) -> list[list[int]]:
     """Four-Russians tables: entry s of table k is the XOR of the rows
-    8k + i over the bits i of s; a zero row (half of a projection's)
-    repeats the table without new ints.  A shorter last chunk gives a
-    shorter table, which the bits of a row (all below dim) never overrun."""
+    8k + i over the bits i of s.  A shorter last chunk gives a shorter
+    table, which the bits of a row (all below dim) never overrun."""
     tables = []
     for k in range(0, len(rows), 8):
         table = [0]
         for r in rows[k:k + 8]:
-            table += [t ^ r for t in table] if r else table
+            table += [t ^ r for t in table]
         tables.append(table)
     return tables
 
@@ -430,69 +441,71 @@ class Fingerprint:
         return (self.d1, self.d2, self.d1p, self.d2p)
 
 
-def _echelon(vectors) -> dict[int, int]:
-    """A basis of the F_2 span of bit-int vectors in echelon form, each
-    row keyed by its bit length (leading bit + 1); its size is the rank."""
-    pivots: dict[int, int] = {}
-    get = pivots.get
-    for vec in vectors:
-        while row := get(vec.bit_length()):
-            vec ^= row
-        if vec:
-            pivots[vec.bit_length()] = vec
-    return pivots
+def _insert(pivots: list[int], vectors, above: int) -> int:
+    """Reduce each vector against the pivot list (slot k holds the row of
+    bit length k, or 0) and file what is left in its slot; returns how
+    many vectors landed in a slot above `above`."""
+    landed = 0
+    for v in vectors:
+        while row := pivots[v.bit_length()]:
+            v ^= row
+        if v:
+            k = v.bit_length()
+            pivots[k] = v
+            landed += k > above
+    return landed
 
 
 class _Involution(NamedTuple):
-    """What a fingerprint needs of an involution x: B_x in reduced
-    echelon form, x's tables and the tables of P_x (module docstring)."""
+    """What a fingerprint needs of an involution x: an echelon basis B_x,
+    x's tables, and B_x shifted above the n low bits as a pivot list of
+    2n + 1 slots (module docstring)."""
 
     basis: list[int]
     tables: list[list[int]]
-    proj: list[list[int]]
+    shifted: list[int]
 
     @staticmethod
-    def of(x: BitMatrix) -> "_Involution":
-        pivots = _echelon(r ^ (1 << i) for i, r in enumerate(x.rows))
-        lengths = sorted(pivots)
-        # clear each pivot column from the rows above it
-        for k, n in enumerate(lengths):
-            row, bit = pivots[n], 1 << (n - 1)
-            for above in lengths[k + 1:]:
-                if pivots[above] & bit:
-                    pivots[above] ^= row
-        basis = list(pivots.values())
-        tables = _subset_xor_tables(x.rows)
+    def of(x: BitMatrix, tables=None) -> "_Involution":
+        """x's data; `tables` are x's tables when already built."""
+        n = x.dim
+        pivots = [0] * (n + 1)
+        _insert(pivots, (r ^ 1 << i for i, r in enumerate(x.rows)), 0)
+        basis = [v for v in pivots if v]
+        if tables is None:
+            tables = _subset_xor_tables(x.rows)
         if any(_row_times_tables(v, tables) != v for v in basis):
             raise MatrixError("fingerprint needs involutions (x^2 = y^2 = 1)")
-        proj = _subset_xor_tables([pivots.get(n, 0) for n in range(1, x.dim + 1)])
-        return _Involution(basis, tables, proj)
+        return _Involution(basis, tables, [0] * n + [v << n for v in pivots])
 
 
-def _fingerprint(x: _Involution, y: _Involution) -> Fingerprint:
+def _fingerprint(x: _Involution, y: _Involution) -> tuple[int, int, int, int]:
     """fingerprint(x, y) from the data of x and y; see module docstring."""
-    xs, xt, xp = x
-    ys, yt, yp = y
-    xy = [_row_times_tables(v, yt) for v in xs]  # B_x y
-    yx = [_row_times_tables(v, xt) for v in ys]  # B_y x
-    # B_y(1-x) + B_x(1-y), as v(1-x) = v + vx
-    d2 = len(_echelon([v ^ w for v, w in zip(ys + xs, yx + xy)]))
-
-    def dim_with(basis, proj, vectors):  # dim(span basis + vectors)
-        return len(basis) + len(_echelon(
-            v ^ _row_times_tables(v, proj) for v in vectors
-        ))
-
-    return Fingerprint(
-        dim_with(xs, xp, ys), d2, dim_with(xs, xp, xy), dim_with(ys, yp, yx)
-    )
+    xs, xt, shifted = x
+    ys, yt, _ = y
+    n = len(shifted) // 2
+    # B_y tagged over B_x: K = A meet B is left in the low slots
+    piv = shifted.copy()
+    d1 = len(xs) + _insert(piv, [v << n | v for v in ys], n)
+    k_shifted = [0] * n + [v << n for v in piv[:n + 1]]
+    # U = B_y(1-x) and W = B_x(1-y), each tagged over K; the basis vectors
+    # off K's pivots span complements of K, which 1-x and 1-y kill
+    u = [v ^ _row_times_tables(v, xt) for v in ys if not piv[v.bit_length()]]
+    w = [v ^ _row_times_tables(v, yt) for v in xs if not piv[v.bit_length()]]
+    piv = k_shifted.copy()
+    hu = _insert(piv, [v << n | v for v in u], n)
+    hw = _insert(k_shifted, [v << n | v for v in w], n)
+    # dim(U + W) = hu + hw + dim((U meet K) + (W meet K))
+    _insert(piv, filter(None, k_shifted[:n + 1]), 0)
+    d2 = hu + hw + n + 1 - piv[:n + 1].count(0)
+    return d1, d2, len(xs) + hw, len(ys) + hu
 
 
 def fingerprint(x: BitMatrix, y: BitMatrix) -> Fingerprint:
     """Conjugacy invariants of an involution pair; see module docstring."""
     if x.dim != y.dim:
         raise MatrixError("shape mismatch")
-    return _fingerprint(_Involution.of(x), _Involution.of(y))
+    return Fingerprint(*_fingerprint(_Involution.of(x), _Involution.of(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -517,41 +530,38 @@ def centralizer_generators(
     return h1, h2
 
 
-def orbit_closure(seed: BitMatrix, conjugators) -> list[BitMatrix]:
-    """Close {seed} under m -> h^-1 m h for each conjugator.  Breadth
-    first with conjugators applied in listed order, so the element
-    order (and hence any serialized output) is reproducible.
-
-    The tables of each h are built once, those of a frontier element m
-    once for all conjugators."""
+def _orbit(seed: BitMatrix, conjugators):
+    """Close {seed} under m -> h^-1 m h for each conjugator, breadth
+    first with conjugators applied in listed order, yielding each element
+    with its tables.  Those tables form the element's images once the
+    consumer is done with them, and are then dropped; the tables of each
+    h are built once."""
     dim = seed.dim
     by_tables = [
         (h.inverse().rows, _subset_xor_tables(h.rows)) for h in conjugators
     ]
     if any(len(hinv_rows) != dim for hinv_rows, _ in by_tables):
         raise MatrixError("shape mismatch")
-
-    def images(m):
+    order = [seed]
+    seen = {seed}
+    for m in order:  # grows while it is walked: a queue
         mt = _subset_xor_tables(m.rows)
+        yield m, mt
         for hinv_rows, ht in by_tables:
-            yield BitMatrix(2, dim, [
+            c = BitMatrix(2, dim, [
                 _row_times_tables(_row_times_tables(r, mt), ht)
                 for r in hinv_rows
             ])
+            if c not in seen:
+                seen.add(c)
+                order.append(c)
 
-    seen = {seed}
-    order = [seed]
-    frontier = [seed]
-    while frontier:
-        new = []
-        for m in frontier:
-            for c in images(m):
-                if c not in seen:
-                    seen.add(c)
-                    order.append(c)
-                    new.append(c)
-        frontier = new
-    return order
+
+def orbit_closure(seed: BitMatrix, conjugators) -> list[BitMatrix]:
+    """Close {seed} under m -> h^-1 m h for each conjugator.  Breadth
+    first with conjugators applied in listed order, so the element
+    order (and hence any serialized output) is reproducible."""
+    return [m for m, _ in _orbit(seed, conjugators)]
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +602,12 @@ def collapsed_adjacency_matrep(
     rep_words[j] conjugates a into orbital j (index 0 = the identity
     word); it is a BitMatrix or a word over standard_environment(a, b),
     which is built only when some entry is a word.  The orbit is closed
-    under `conjugators`, which must generate the centralizer of a; they
-    may be omitted only when every entry is a word, and then J4's
-    centralizer_generators(a, b) are used.  The fingerprint table
-    assigns each conjugate pair to its orbital.  Unknown fingerprints
-    raise UnknownOrbitalError; i out of range, MatrixError.
+    under `conjugators`, which must generate the centralizer of a; each
+    is checked to commute with a.  They may be omitted only when every
+    entry is a word, and then J4's centralizer_generators(a, b) are
+    used.  The fingerprint table assigns each conjugate pair to its
+    orbital.  Unknown fingerprints raise UnknownOrbitalError; i out of
+    range or a conjugator outside the centralizer, MatrixError.
     """
     from .orbitals import CollapsedAdjacency
 
@@ -609,6 +620,9 @@ def collapsed_adjacency_matrep(
             "a BitMatrix representative needs explicit conjugators: the "
             "centralizer words are J4's, for word representatives only"
         )
+    for k, h in enumerate(conjugators or ()):
+        if h * a != a * h:
+            raise MatrixError(f"conjugator {k} does not commute with a")
     env = standard_environment(a, b) if words else None
     reps = [
         w if isinstance(w, BitMatrix) else eval_word(env, w)
@@ -616,14 +630,16 @@ def collapsed_adjacency_matrep(
     ]
     if conjugators is None:
         conjugators = centralizer_generators(a, b)
-    orbit = orbit_closure(a.conjugate_by(reps[i]), conjugators)
+    inverses = [t.inverse() for t in reps]
     # fingerprint(a, t^-1 m t) = fingerprint(t a t^-1, m)
-    row_data = [_Involution.of(t * a * t.inverse()) for t in reps]
+    row_data = [
+        _Involution.of(t * a * tinv) for t, tinv in zip(reps, inverses)
+    ]
     matrix = [[0] * rank for _ in range(rank)]
-    for m in orbit:
-        data = _Involution.of(m)
+    for m, tables in _orbit(inverses[i] * a * reps[i], conjugators):
+        data = _Involution.of(m, tables)
         for row, aj in zip(matrix, row_data):
-            fp = _fingerprint(aj, data).as_tuple()
+            fp = _fingerprint(aj, data)
             try:
                 row[fingerprint_table[fp]] += 1
             except KeyError:

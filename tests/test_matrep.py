@@ -1,6 +1,9 @@
 import inspect
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import write_matrix_file
@@ -268,6 +271,27 @@ def dense_involution(rng, dim: int, swaps: int, c: BitMatrix) -> BitMatrix:
     return perm_matrix(Permutation.from_cycles(cycles, dim)).conjugate_by(c)
 
 
+def commuting_involutions(rng, dim: int, c: BitMatrix):
+    """Commuting permutation involutions x and y, conjugated by c: y
+    crosses pairs of x's 2-cycles, (p q)(r s) against (p r)(q s), keeps
+    some others and swaps points that x fixes."""
+    points = rng.sample(range(dim), dim)
+    swaps = rng.randint(0, dim // 2)
+    xc = [tuple(points[k:k + 2]) for k in range(0, 2 * swaps, 2)]
+    fixed = points[2 * swaps:]
+    yc, rest = [], xc[:]
+    while len(rest) >= 2 and rng.random() < 0.5:
+        (p, q), (r, s) = rest.pop(), rest.pop()
+        yc += [(p, r), (q, s)]
+    yc += [cyc for cyc in rest if rng.random() < 0.5]
+    f = rng.randint(0, len(fixed) // 2)
+    yc += [tuple(fixed[k:k + 2]) for k in range(0, 2 * f, 2)]
+    return tuple(
+        perm_matrix(Permutation.from_cycles(cycles, dim)).conjugate_by(c)
+        for cycles in (xc, yc)
+    )
+
+
 def reference_fingerprint(x: BitMatrix, y: BitMatrix) -> tuple:
     """The fingerprint from full products: V_1 = V(1-x) + V(1-y),
     V_2 = V_1(1-x) + V_1(1-y), V(1-x) + V(1-yxy) and V(1-y) + V(1-xyx)."""
@@ -346,6 +370,39 @@ class TestFingerprint:
         y = perm_matrix(parse_permutation("(2 3)", 5))
         fp = fingerprint(x, y)
         assert fingerprint(x.conjugate_by(g), y.conjugate_by(g)) == fp
+
+    @pytest.mark.parametrize("dim", [*range(1, 10), 112])
+    @pytest.mark.parametrize("case", ["identity", "equal", "commuting"])
+    def test_degenerate_pairs_match_reference(self, case, dim):
+        # B = 0, K = A = B, and xy = yx, in both orders
+        rng = random.Random(dim)
+        for _ in range(3):
+            c = random_invertible(rng, dim)
+            x, y = commuting_involutions(rng, dim, c)
+            if case == "identity":
+                y = BitMatrix.identity(2, dim)
+            elif case == "equal":
+                y = x
+            assert x * y == y * x
+            for u, v in ((x, y), (y, x)):
+                assert fingerprint(u, v).as_tuple() == reference_fingerprint(u, v)
+
+    @pytest.mark.parametrize("dim", [4, 5, 8, 9, 112])
+    def test_meets_of_k_not_nested(self, dim):
+        # W meet K need not lie in U meet K, so d2 needs the last
+        # elimination.  The smallest case is this dim-4 pair (xy of
+        # order 4, not a permutation pair), here in dim // 4 block copies
+        c = random_invertible(random.Random(dim), dim)
+        copies = dim // 4
+
+        def blocks(block):
+            rows = [r << 4 * k for k in range(copies) for r in block]
+            rows += [1 << i for i in range(4 * copies, dim)]
+            return BitMatrix(2, dim, rows).conjugate_by(c)
+
+        x, y = blocks((1, 2, 5, 10)), blocks((1, 3, 4, 8))
+        for u, v in ((x, y), (y, x)):
+            assert fingerprint(u, v).as_tuple() == reference_fingerprint(u, v)
 
     def test_identity_pair(self):
         x = perm_matrix(parse_permutation("(0 1)", 5))
@@ -537,7 +594,7 @@ class TestMatrepCrossValidation:
         def boom(*args):
             raise AssertionError("orbit closed before the index check")
 
-        monkeypatch.setattr(matrep, "orbit_closure", boom)
+        monkeypatch.setattr(matrep, "_orbit", boom)
         with pytest.raises(MatrixError, match="no orbital"):
             collapsed_adjacency_matrep(
                 a, b, reps, table, i, conjugators=centralizer
@@ -561,11 +618,59 @@ class TestMatrepCrossValidation:
             raise AssertionError("J4 centralizer words evaluated")
 
         monkeypatch.setattr(matrep, "centralizer_generators", boom)
-        monkeypatch.setattr(matrep, "orbit_closure", boom)
+        monkeypatch.setattr(matrep, "_orbit", boom)
         if mixed:  # one matrix among words is enough
             reps = [""] + reps[1:]
         with pytest.raises(MatrixError, match="needs explicit conjugators"):
             collapsed_adjacency_matrep(a, b, reps, table, 1)
+
+    def test_conjugator_outside_centralizer_rejected(self, s5_setup, monkeypatch):
+        _, dec, a, b, reps, table, centralizer = s5_setup
+
+        def boom(*args):
+            raise AssertionError("orbit closed with a bad conjugator")
+
+        monkeypatch.setattr(matrep, "_orbit", boom)
+        # b, the 5-cycle, does not commute with a = (0 1)
+        with pytest.raises(MatrixError, match="conjugator 3 does not commute with a"):
+            collapsed_adjacency_matrep(
+                a, b, reps, table, 1, conjugators=centralizer + [b]
+            )
+
+    def test_each_orbit_element_tabulated_once(self, s5_setup, monkeypatch):
+        # no conjugator, representative or inverse is a transposition, so
+        # the rows of an orbit element are tabulated only as that element
+        # or as a row involution t a t^-1
+        action, dec, a, b, _, table, _ = s5_setup
+        conj = [
+            perm_matrix(parse_permutation(w, 5))
+            for w in ("(0 1)(2 3 4)", "(0 1)(2 3)")
+        ]
+        reps: list = [None] * dec.rank
+        for g in (
+            Permutation.identity(5),
+            parse_permutation("(1 2 3)", 5),
+            parse_permutation("(0 2)(1 3)", 5),
+        ):
+            t = perm_matrix(g)
+            reps[table[fingerprint(a, a.conjugate_by(t)).as_tuple()]] = t
+        row_rows = [(t * a * t.inverse()).rows for t in reps]
+        tabulated = []
+        tables = matrep._subset_xor_tables
+
+        def record(rows):
+            tabulated.append(tuple(rows))
+            return tables(rows)
+
+        for i in (1, 2):
+            orbit = orbit_closure(a.conjugate_by(reps[i]), conj)
+            tabulated.clear()
+            monkeypatch.setattr(matrep, "_subset_xor_tables", record)
+            ca = collapsed_adjacency_matrep(a, b, reps, table, i, conjugators=conj)
+            monkeypatch.undo()
+            assert ca.matrix == collapsed_adjacency(action, dec, i).matrix
+            for m in orbit:
+                assert tabulated.count(m.rows) == 1 + row_rows.count(m.rows)
 
     def test_dense_block_copies(self, s5_setup):
         # four copies of the 5-dim action (dim 20: the last table chunk
@@ -603,3 +708,17 @@ class TestMatrepCrossValidation:
         for i in range(dec.rank):
             ca = collapsed_adjacency_matrep(a, b, words, table, i, conjugators=centralizer)
             assert ca.matrix == collapsed_adjacency(action, dec, i).matrix
+
+
+def test_matrep_import_leaves_chartab_unloaded():
+    # a fresh interpreter: the package imports its modules on first use
+    src = str(Path(matrep.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import synchro.matrep; "
+        "loaded = ('synchro.chartab' in sys.modules, 'mpmath' in sys.modules); "
+        "import synchro; print(*loaded, callable(synchro.chartab.load_character_table))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False False True\n"
