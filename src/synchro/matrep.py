@@ -20,8 +20,10 @@ set.
 
 No full product is formed for a fingerprint.  B_x is an echelon basis
 of A = V(1-x), from the rows x_i + e_i.  Over F_2, (1-x)^2 = 1 + x^2,
-so x is an involution exactly when B_x x = B_x, which is checked for
-every involution, orbit elements included.  With B = V(1-y),
+so x is an involution exactly when B_x x = B_x.  This is checked for
+both arguments of a fingerprint and for every row of a collapsed matrix,
+but not for orbit elements: each is conjugate to a, and so to every row
+involution t a t^-1, which has passed.  With B = V(1-y),
 U = B(1-x) inside A, W = A(1-y) inside B and K = A meet B,
 
     d1  = dim(A + B)  = dim A + dim B - dim K
@@ -55,6 +57,7 @@ tables for O(rank) involutions, not O(|orbit|).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -235,155 +238,95 @@ def parse_matrix_file(path) -> list[BitMatrix]:
 # words in the generators
 
 
-def _tokenize(text: str):
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isalpha():
-            yield ("sym", ch)
-            i += 1
-        elif ch in "([{)]},^":
-            yield (ch, ch)
-            i += 1
-        elif ch.isdigit() or ch == "-":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            yield ("int", int(text[i:j]))
-            i = j
-        else:
-            raise WordError(f"bad character {ch!r} at position {i}")
-    yield ("end", None)
+_TOKEN = re.compile(r"[A-Za-z]|-?[0-9]+|[][(){},^]|(\S)")
+_CLOSE = {"(": ")", "{": "}", "[": "]"}
 
 
-class _WordParser:
-    """word   := term*
-    term    := atom ('^' (int | atom))*
-    atom    := symbol | '(' word ')' | '{' word '}' | '[' word ',' word ']'
+def eval_word(env: dict, text: str):
+    """Evaluate a word over named elements, multiplying as it parses:
 
-    '^' with an integer is a power, with an atom it is conjugation
-    (x^y = y^-1 x y); '[x,y]' is the commutator x^-1 y^-1 x y.  Powers
-    bind tighter than juxtaposition, so ab^2 is a(b^2).
+    word  := term*
+    term  := atom ('^' (int | atom))*
+    atom  := symbol | '(' word ')' | '{' word '}' | '[' word ',' word ']'
+
+    A symbol is one ASCII letter and an int is -?[0-9]+; whitespace
+    between tokens is skipped.  '^' with an int is a power, with an atom
+    it is conjugation (x^y = y^-1 x y); '[x,y]' is the commutator
+    x^-1 y^-1 x y.  Powers bind tighter than juxtaposition, so ab^2 is
+    a(b^2).  Elements need only '*', .inverse() and equality; both
+    BitMatrix and Permutation qualify.  The empty word and x^0 are the
+    identity, derived from any element of the environment.
     """
-
-    def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        word = self.word()
-        if self.peek()[0] != "end":
-            raise WordError(f"unexpected token {self.peek()!r}")
-        return word
-
-    def word(self):
-        factors = []
-        while self.peek()[0] in ("sym", "(", "{", "["):
-            factors.append(self.term())
-        return ("prod", factors)
-
-    def term(self):
-        node = self.atom()
-        while self.peek()[0] == "^":
-            self.take()
-            kind, val = self.peek()
-            if kind == "int":
-                self.take()
-                node = ("pow", node, val)
-            else:
-                node = ("conj", node, self.atom())
-        return node
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "sym":
-            return ("sym", val)
-        if kind in ("(", "{"):
-            close = ")" if kind == "(" else "}"
-            node = self.word()
-            if self.take()[0] != close:
-                raise WordError(f"expected {close!r}")
-            return node
-        if kind == "[":
-            left = self.word()
-            if self.take()[0] != ",":
-                raise WordError("expected ',' in commutator")
-            right = self.word()
-            if self.take()[0] != "]":
-                raise WordError("expected ']'")
-            return ("comm", left, right)
-        raise WordError(f"unexpected token {kind!r}")
-
-
-def parse_word(text: str):
-    try:
-        return _WordParser(text).parse()
-    except RecursionError:
-        raise WordError("word nested too deeply") from None
-
-
-def eval_word(env: dict, word):
-    """Evaluate a word (string or parsed tree) over named elements.
-
-    Elements need only '*', .inverse() and equality; both BitMatrix and
-    Permutation qualify.  The empty word is the identity, derived from
-    any element of the environment.
-    """
-    if isinstance(word, str):
-        word = parse_word(word)
     if not env:
         raise WordError("empty environment")
+    some = next(iter(env.values()))
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        if m.group(1):
+            raise WordError(f"bad character {m.group(1)!r} at position {m.start()}")
+        tokens.append(m.group())
+    tokens = [""] + tokens[::-1]  # pop() takes the next token; "" ends
 
-    def ev(node):
-        tag = node[0]
-        if tag == "sym":
-            try:
-                return env[node[1]]
-            except KeyError:
-                raise WordError(f"unknown symbol {node[1]!r}") from None
-        if tag == "prod":
-            if not node[1]:
-                some = next(iter(env.values()))
-                return some * some.inverse()
-            out = ev(node[1][0])
-            for factor in node[1][1:]:
-                out = out * ev(factor)
-            return out
-        if tag == "pow":
-            base = ev(node[1])
-            k = node[2]
-            if k < 0:
-                base, k = base.inverse(), -k
-            some = next(iter(env.values()))
-            out = some * some.inverse()
-            while k:
-                if k & 1:
-                    out = out * base
-                base = base * base
-                k >>= 1
-            return out
-        if tag == "conj":
-            x, y = ev(node[1]), ev(node[2])
-            return y.inverse() * x * y
-        if tag == "comm":
-            x, y = ev(node[1]), ev(node[2])
-            return x.inverse() * y.inverse() * x * y
-        raise WordError(f"bad node {tag!r}")
+    def expect(close):
+        if (tok := tokens.pop()) != close:
+            raise WordError(f"expected {close or 'end'!r}, got {tok or 'end'!r}")
+
+    def word():
+        out = None
+        while tokens[-1].isalpha() or tokens[-1] in _CLOSE:
+            x = term()
+            out = x if out is None else out * x
+        return some * some.inverse() if out is None else out
+
+    def term():
+        x = atom()
+        while tokens[-1] == "^":
+            tokens.pop()
+            if tokens[-1][-1:].isdigit():
+                x = power(x, tokens.pop())
+            else:
+                y = atom()
+                x = y.inverse() * x * y
+        return x
+
+    def power(x, digits):
+        try:
+            k = int(digits)
+        except ValueError:  # longer than int() converts
+            raise WordError(f"exponent of {len(digits)} digits") from None
+        if k < 0:
+            x, k = x.inverse(), -k
+        if not k:
+            return some * some.inverse()
+        out = x
+        for bit in bin(k)[3:]:  # the bits below the leading one
+            out = out * out
+            if bit == "1":
+                out = out * x
+        return out
+
+    def atom():
+        tok = tokens.pop()
+        if tok.isalpha():
+            if tok not in env:
+                raise WordError(f"unknown symbol {tok!r}")
+            return env[tok]
+        if tok in _CLOSE:
+            x = word()
+            if tok == "[":
+                expect(",")
+                y = word()
+                x = x.inverse() * y.inverse() * x * y
+            expect(_CLOSE[tok])
+            return x
+        raise WordError(f"unexpected token {tok or 'end'!r}")
 
     try:
-        return ev(word)
+        out = word()
     except RecursionError:
         raise WordError("word nested too deeply") from None
+    expect("")
+    return out
 
 
 def standard_environment(a: BitMatrix, b: BitMatrix) -> dict:
@@ -467,16 +410,20 @@ class _Involution(NamedTuple):
 
     @staticmethod
     def of(x: BitMatrix, tables=None) -> "_Involution":
-        """x's data; `tables` are x's tables when already built."""
+        """x's data, unchecked; `tables` are x's when already built."""
         n = x.dim
         pivots = [0] * (n + 1)
         _insert(pivots, (r ^ 1 << i for i, r in enumerate(x.rows)), 0)
         basis = [v for v in pivots if v]
         if tables is None:
             tables = _subset_xor_tables(x.rows)
-        if any(_row_times_tables(v, tables) != v for v in basis):
-            raise MatrixError("fingerprint needs involutions (x^2 = y^2 = 1)")
         return _Involution(basis, tables, [0] * n + [v << n for v in pivots])
+
+    def checked(self) -> "_Involution":
+        """self, once B_x x = B_x has shown that x^2 = 1."""
+        if any(_row_times_tables(v, self.tables) != v for v in self.basis):
+            raise MatrixError("fingerprint needs involutions (x^2 = y^2 = 1)")
+        return self
 
 
 def _fingerprint(x: _Involution, y: _Involution) -> tuple[int, int, int, int]:
@@ -505,7 +452,9 @@ def fingerprint(x: BitMatrix, y: BitMatrix) -> Fingerprint:
     """Conjugacy invariants of an involution pair; see module docstring."""
     if x.dim != y.dim:
         raise MatrixError("shape mismatch")
-    return Fingerprint(*_fingerprint(_Involution.of(x), _Involution.of(y)))
+    return Fingerprint(
+        *_fingerprint(_Involution.of(x).checked(), _Involution.of(y).checked())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -633,11 +582,12 @@ def collapsed_adjacency_matrep(
     inverses = [t.inverse() for t in reps]
     # fingerprint(a, t^-1 m t) = fingerprint(t a t^-1, m)
     row_data = [
-        _Involution.of(t * a * tinv) for t, tinv in zip(reps, inverses)
+        _Involution.of(t * a * tinv).checked()
+        for t, tinv in zip(reps, inverses)
     ]
     matrix = [[0] * rank for _ in range(rank)]
     for m, tables in _orbit(inverses[i] * a * reps[i], conjugators):
-        data = _Involution.of(m, tables)
+        data = _Involution.of(m, tables)  # conjugate to a: no check
         for row, aj in zip(matrix, row_data):
             fp = _fingerprint(aj, data)
             try:

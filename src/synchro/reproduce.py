@@ -100,7 +100,7 @@ def table2(a, b):
                      "match": fp == o["fingerprint"]})
     h = matrep.centralizer_generators(a, b)
     for k in (1, 3):
-        size = len(matrep.orbit_closure(conj[k], h))
+        size = sum(1 for _ in matrep._orbit(conj[k], h))
         rows.append({"nr": meta[k]["nr"], "orbit_size": size,
                      "match": size == meta[k]["s1"]})
     return {"rows": rows, "ok": all(r["match"] for r in rows)}

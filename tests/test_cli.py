@@ -2,7 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -350,7 +354,63 @@ class TestChartab:
         assert err == "error: non-real part in [re, im] ['1', 'I']\n"
 
 
+def table_with_value(tmp_path, value):
+    """argv for chartab on the z2 table with one character value replaced."""
+    data = json.loads(bundled_table_path("z2").read_text())
+    data["characters"][1][1] = value
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(data))
+    return ["chartab", "--table", str(table)]
+
+
+def f3_matrix_file(tmp_path):
+    gens = tmp_path / "f3.txt"
+    gens.write_text("3 2 2 2\n12\n01\n10\n01\n")
+    return ["matrep", "--gens", str(gens), "--verify-standard"]
+
+
+# case -> (exit code, argv from a scratch directory)
+ENTRY_POINT_ERRORS = {
+    "reproduce-without-data": (
+        3, lambda tmp: ["reproduce", "table1", "--data-dir", str(tmp)]
+    ),
+    "witness-sync-without-P": (
+        2, lambda tmp: ["witness", "sync", "--group", "z4", "--A", "[0,1]"]
+    ),
+    "f3-matrix-file": (2, f3_matrix_file),
+    "value-outside-the-grammar": (2, lambda tmp: table_with_value(
+        tmp, f"__import__('pathlib').Path({str(tmp / 'pwned')!r})"
+        ".write_text('x') and -1"
+    )),
+    "imaginary-pair-part": (2, lambda tmp: table_with_value(tmp, ["1", "I"])),
+    "colouring-of-2^79-vertices": (
+        2, lambda tmp: ["diagonal", "--group", "z2", "--n", "80", "--color-even"]
+    ),
+}
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("case", list(ENTRY_POINT_ERRORS))
+    def test_entry_point_exit_codes(self, tmp_path, case):
+        # a fresh interpreter through the module entry point, which the
+        # console script shares: cli.main
+        code, make_argv = ENTRY_POINT_ERRORS[case]
+        argv = make_argv(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "synchro.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1
+        assert "Traceback" not in proc.stderr
+        assert sorted(tmp_path.iterdir()) == before  # no file written
+
     def test_usage_error(self, capsys):
         assert run(capsys, "nonsense-command")[0] == 2
 
@@ -561,6 +621,25 @@ class TestReproducePipeline:
             "standard_generators": [list(c) for c in FAILING.checks],
         }
         assert j4_stubs.calls == []
+
+    def test_table2_counts_orbits_without_listing_them(
+        self, capsys, tmp_path, j4_stubs, monkeypatch
+    ):
+        # a = (0 1) and b = (0 1 2 3 4) as permutation matrices, closed
+        # under all of S5: each conjugate of a has the 10 transpositions
+        a = BitMatrix(2, 5, [2, 1, 4, 8, 16])
+        b = BitMatrix(2, 5, [1 << (i + 1) % 5 for i in range(5)])
+
+        def listed(*args):
+            raise AssertionError("orbit listed")
+
+        monkeypatch.setattr(matrep, "parse_matrix_file", lambda path: [a, b])
+        monkeypatch.setattr(matrep, "centralizer_generators", lambda a, b: (a, b))
+        monkeypatch.setattr(matrep, "orbit_closure", listed)
+        code, payload = reproduce_in(capsys, tmp_path, "table2")
+        assert code == 1 and payload["ok"] is False
+        sizes = [r["orbit_size"] for r in payload["rows"] if "orbit_size" in r]
+        assert sizes == [10, 10]
 
     def test_manifest_records_the_generator_file(
         self, capsys, tmp_path, j4_stubs

@@ -23,7 +23,6 @@ from synchro.matrep import (
     load_fingerprint_table,
     orbit_closure,
     parse_matrix_file,
-    parse_word,
     standard_environment,
     verify_standard_generators,
 )
@@ -225,12 +224,24 @@ class TestWords:
 
     def test_unbalanced(self, env):
         with pytest.raises(WordError):
-            parse_word("(xy")
+            eval_word(env, "(xy")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x^-", "x^\u00b2", "x^", "x^" + "1" * 5000],
+        ids=["lone-minus", "non-ascii-digit", "no-exponent", "5000-digits"],
+    )
+    def test_malformed(self, env, text):
+        with pytest.raises(WordError):
+            eval_word(env, text)
 
     def test_too_deep_to_evaluate(self, env):
-        # a '^' chain parses flat but nests one evaluation level per '^'
         with pytest.raises(WordError, match="nested too deeply"):
-            eval_word(env, "x" + "^y" * 3000)
+            eval_word(env, "(" * 3000 + "x" + ")" * 3000)
+
+    def test_conjugation_chain_is_flat(self, env):
+        # y has order 5, and 3001 = 1 mod 5
+        assert eval_word(env, "x" + "^y" * 3001) == eval_word(env, "x^y")
 
     def test_standard_environment_derived_names(self):
         a = perm_matrix(parse_permutation("(0 1)", 5))
@@ -636,6 +647,21 @@ class TestMatrepCrossValidation:
             collapsed_adjacency_matrep(
                 a, b, reps, table, 1, conjugators=centralizer + [b]
             )
+
+    def test_involution_checked_on_rows_only(self, s5_setup, monkeypatch):
+        # orbit elements are conjugates of a, so the rows' checks cover them
+        action, dec, a, b, reps, table, centralizer = s5_setup
+        checked = []
+        check = matrep._Involution.checked
+        monkeypatch.setattr(
+            matrep._Involution, "checked", lambda d: checked.append(d) or check(d)
+        )
+        ca = collapsed_adjacency_matrep(a, b, reps, table, 1, conjugators=centralizer)
+        assert ca.matrix == collapsed_adjacency(action, dec, 1).matrix
+        assert len(checked) == dec.rank
+        c = perm_matrix(parse_permutation("(0 1 2)", 5))
+        with pytest.raises(MatrixError, match="needs involutions"):
+            collapsed_adjacency_matrep(c, b, reps, table, 1, conjugators=[c])
 
     def test_each_orbit_element_tabulated_once(self, s5_setup, monkeypatch):
         # no conjugator, representative or inverse is a transposition, so
