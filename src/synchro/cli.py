@@ -57,9 +57,9 @@ def _points(value, n: int, what: str) -> list[int]:
     return value
 
 
-def _load_group(spec: str, args=None) -> groups.FiniteGroup:
+def _load_group(spec: str, args) -> groups.FiniteGroup:
     g = groups.make_group(spec)
-    if args is not None and Path(spec).is_file():
+    if Path(spec).is_file():
         args._input_paths.append(spec)
     return g
 
@@ -285,7 +285,7 @@ def cmd_chartab(args) -> int:
     if args.xi:
         xi = chartab.structure_constant_xi(t, *args.xi)
         payload["xi"] = {"classes": args.xi, "value": [xi.numerator, xi.denominator]}
-        if args.scale:
+        if args.scale is not None:
             scaled = xi * args.scale
             if scaled.denominator != 1:
                 raise chartab.CharacterTableError("scaled value not integral")
@@ -331,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagonal", help="diagonal-group graph and colourings")
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--color-even", action="store_true")
-    p.add_argument("--color-odd", action="store_true")
+    colour = p.add_mutually_exclusive_group()
+    colour.add_argument("--color-even", action="store_true")
+    colour.add_argument("--color-odd", action="store_true")
     p.add_argument("--phi", help="complete-mapping JSON for --color-odd")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--emit-witness")

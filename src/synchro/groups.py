@@ -2,13 +2,16 @@
 
 Everything downstream acts on these two carriers: a Permutation is an
 image list on 0-based points, a FiniteGroup is an order x order table of
-element indices.  Groups are kept at desk scale (tables up to ~10^5
-elements); anything bigger stays a generator-only PermGroup.
+element indices.  Groups are kept at desk scale (tables of at most
+MAX_TABLE_ENTRIES = 10^7 entries, so order <= 3162); anything bigger
+stays a generator-only PermGroup.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +23,19 @@ class SizeOverflowError(Exception):
 
 class GroupFormatError(Exception):
     """Malformed group descriptor, table file or permutation literal."""
+
+
+MAX_TABLE_ENTRIES = 10**7
+
+
+def _check_order(order: int) -> None:
+    """Refuse a group whose order x order table exceeds the bound, before
+    any of its elements is built."""
+    if order * order > MAX_TABLE_ENTRIES:
+        raise GroupFormatError(
+            f"group order above {math.isqrt(MAX_TABLE_ENTRIES)}: its table "
+            f"would exceed {MAX_TABLE_ENTRIES} entries"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +155,6 @@ class FiniteGroup:
     order: int
     table: tuple[tuple[int, ...], ...]
     identity: int = 0
-    labels: tuple[str, ...] | None = None
     # a generating set (element indices), kept when known; used by callers
     # that need to act by generators rather than by all elements
     generators: tuple[int, ...] | None = None
@@ -186,9 +201,6 @@ class FiniteGroup:
         if self.generators is not None:
             return self.generators
         return tuple(i for i in range(self.order) if i != self.identity)
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels else str(a)
 
     def check_latin(self) -> None:
         """Every row and every column is a permutation of the elements:
@@ -347,27 +359,6 @@ def commutator_subgroup(g: FiniteGroup) -> frozenset[int]:
     return frozenset(closed)
 
 
-def abelianization(g: FiniteGroup) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """The quotient G/G' together with the map element -> coset index.
-
-    Cosets are indexed by their least element, identity coset first.
-    """
-    derived = commutator_subgroup(g)
-    coset_of = [-1] * g.order
-    reps = []
-    for x in (g.identity, *range(g.order)):
-        if coset_of[x] == -1:
-            idx = len(reps)
-            reps.append(x)
-            for d in derived:
-                coset_of[g.mul(x, d)] = idx
-    table = tuple(
-        tuple(coset_of[g.mul(a, b)] for b in reps) for a in reps
-    )
-    quotient = FiniteGroup(len(reps), table)
-    return quotient, tuple(coset_of)
-
-
 def two_part(n: int) -> int:
     m = 1
     while n % 2 == 0:
@@ -394,7 +385,7 @@ def sylow2_is_cyclic(g: FiniteGroup) -> bool:
 # catalog constructors
 
 
-def _from_elements(elements, mul, label, gens) -> FiniteGroup:
+def _from_elements(elements, mul, gens) -> FiniteGroup:
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     table = tuple(
@@ -405,7 +396,6 @@ def _from_elements(elements, mul, label, gens) -> FiniteGroup:
         order=n,
         table=table,
         identity=0,
-        labels=tuple(label(e) for e in elements),
         generators=tuple(sorted(index[e] for e in gens)) or None,
     )
 
@@ -413,11 +403,9 @@ def _from_elements(elements, mul, label, gens) -> FiniteGroup:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupFormatError("cyclic order must be >= 1")
+    _check_order(n)
     return _from_elements(
-        list(range(n)),
-        lambda a, b: (a + b) % n,
-        str,
-        [1 % n] if n > 1 else [],
+        list(range(n)), lambda a, b: (a + b) % n, [1 % n] if n > 1 else []
     )
 
 
@@ -425,6 +413,7 @@ def dihedral_group(order: int) -> FiniteGroup:
     """Dihedral group of the given order (order = 2n, n >= 1)."""
     if order < 2 or order % 2:
         raise GroupFormatError("dihedral order must be even and >= 2")
+    _check_order(order)
     n = order // 2
 
     def mul(a, b):
@@ -435,25 +424,24 @@ def dihedral_group(order: int) -> FiniteGroup:
     # rotations and reflections interleaved; an all-rotations prefix
     # makes the complete-mapping search degenerate
     elements = [(i, s) for i in range(n) for s in (0, 1)]
-    return _from_elements(
-        elements,
-        mul,
-        lambda e: f"r{e[0]}" + ("s" if e[1] else ""),
-        [(1 % n, 0), (0, 1)],
-    )
+    return _from_elements(elements, mul, [(1 % n, 0), (0, 1)])
 
 
 def symmetric_group(n: int) -> FiniteGroup:
+    # 20! passes any table bound; the cap keeps the factorial cheap
+    _check_order(math.factorial(min(n, 20)))
     elements = [Permutation(p) for p in itertools.permutations(range(n))]
     gens = []
     if n >= 2:
         gens.append(parse_permutation("(0 1)", n))
     if n >= 3:
         gens.append(Permutation(tuple(list(range(1, n)) + [0])))
-    return _from_elements(elements, lambda a, b: a * b, str, gens)
+    return _from_elements(elements, lambda a, b: a * b, gens)
 
 
 def alternating_group(n: int) -> FiniteGroup:
+    _check_order(math.factorial(min(n, 20)) // 2)
+
     def sign(p: Permutation) -> int:
         return (-1) ** sum(len(c) - 1 for c in p.cycles())
 
@@ -470,19 +458,21 @@ def alternating_group(n: int) -> FiniteGroup:
             gens.append(Permutation(tuple(list(range(1, n)) + [0])))
         else:
             gens.append(Permutation(tuple([0] + list(range(2, n)) + [1])))
-    return _from_elements(elements, lambda a, b: a * b, str, gens)
+    return _from_elements(elements, lambda a, b: a * b, gens)
 
 
 def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if k < 0:
+        raise GroupFormatError("elementary rank must be >= 0")
+    # p^k passes any table bound by k = 12 when p >= 2; the cap keeps the
+    # power cheap for a huge k
+    _check_order(p ** min(k, 12))
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise GroupFormatError(f"{p} is not prime")
     elements = list(itertools.product(range(p), repeat=k))
     gens = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
     return _from_elements(
-        elements,
-        lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
-        lambda e: "".join(map(str, e)) if k else "e",
-        gens,
+        elements, lambda a, b: tuple((x + y) % p for x, y in zip(a, b)), gens
     )
 
 
@@ -502,11 +492,11 @@ def quaternion_group() -> FiniteGroup:
 
     elements = [(1, 0), (-1, 0), (1, 1), (-1, 1),
                 (1, 2), (-1, 2), (1, 3), (-1, 3)]
-    names = dict(zip(elements, ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]))
-    return _from_elements(elements, mul, names.__getitem__, [(1, 1), (1, 2)])
+    return _from_elements(elements, mul, [(1, 1), (1, 2)])
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
+    _check_order(g.order * h.order)
     # diagonal traversal keeps either factor from forming a long prefix,
     # which would degrade the complete-mapping search
     elements = sorted(
@@ -520,116 +510,79 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     gens = [(a, h.identity) for a in g.generating_set()] + [
         (g.identity, b) for b in h.generating_set()
     ]
-    return _from_elements(
-        elements,
-        mul,
-        lambda e: f"({g.label(e[0])},{h.label(e[1])})",
-        gens,
-    )
+    return _from_elements(elements, mul, gens)
 
 
 def read_group_file(path) -> FiniteGroup:
-    """Text format: 'order n', then the n x n table, then optionally a
-    'labels' line followed by n whitespace-separated labels."""
-    lines = Path(path).read_text().split("\n")
-    pos = 0
-
-    def next_line():
-        nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
-            return None
-        pos += 1
-        return lines[pos - 1].strip()
-
-    head = next_line()
-    if head is None or not head.startswith("order"):
+    """Text format, read as whitespace-separated tokens: 'order n', the
+    n x n table row by row, then optionally 'labels' and n labels, which
+    are checked for count and otherwise ignored."""
+    tokens = Path(path).read_text().split()
+    if tokens[:1] != ["order"]:
         raise GroupFormatError(f"{path}: expected 'order n' header")
     try:
-        n = int(head.split()[1])
+        n = int(tokens[1])
     except (IndexError, ValueError) as exc:
-        raise GroupFormatError(f"{path}: bad order line {head!r}") from exc
-    entries = []
-    while len(entries) < n * n:
-        line = next_line()
-        if line is None:
-            raise GroupFormatError(f"{path}: truncated table")
-        entries.extend(int(t) for t in line.split())
-    if len(entries) > n * n:
-        raise GroupFormatError(f"{path}: too many table entries")
+        raise GroupFormatError(f"{path}: bad order {tokens[1:2]}") from exc
+    if n < 1:
+        raise GroupFormatError(f"{path}: order must be >= 1")
+    _check_order(n)
+    end = 2 + n * n
+    if len(tokens) < end:
+        raise GroupFormatError(f"{path}: truncated table")
+    trailer = tokens[end:]
+    if trailer and (trailer[0] != "labels" or len(trailer) != n + 1):
+        raise GroupFormatError(
+            f"{path}: a trailer must be 'labels' and {n} labels"
+        )
+    try:
+        entries = [int(t) for t in tokens[2:end]]
+    except ValueError as exc:
+        raise GroupFormatError(f"{path}: {exc}") from exc
     if any(e < 0 or e >= n for e in entries):
         raise GroupFormatError(f"{path}: table entry out of range")
     table = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
-    labels = None
-    line = next_line()
-    if line is not None:
-        if line != "labels":
-            raise GroupFormatError(f"{path}: unexpected trailer {line!r}")
-        toks = []
-        while (line := next_line()) is not None:
-            toks.extend(line.split())
-        if len(toks) != n:
-            raise GroupFormatError(f"{path}: expected {n} labels")
-        labels = tuple(toks)
-    ident = None
-    for e in range(n):
-        if all(table[e][a] == a and table[a][e] == a for a in range(n)):
-            ident = e
-            break
-    if ident is None:
-        raise GroupFormatError(f"{path}: table has no identity")
-    g = FiniteGroup(order=n, table=table, identity=ident, labels=labels)
+    try:
+        ident = table.index(tuple(range(n)))
+    except ValueError:
+        raise GroupFormatError(f"{path}: table has no identity") from None
+    g = FiniteGroup(order=n, table=table, identity=ident)
     g.check_latin()
     g.check_axioms()
     return g
 
 
-_NAME_RE = re.compile(r"^([a-z]+)(\d+)$")
+_FAMILIES = {
+    **dict.fromkeys(("cyclic", "c", "z"), cyclic_group),
+    **dict.fromkeys(("dihedral", "d"), dihedral_group),
+    **dict.fromkeys(("symmetric", "s"), symmetric_group),
+    **dict.fromkeys(("alternating", "a"), alternating_group),
+}
 
 
 def make_group(spec: str) -> FiniteGroup:
     """Build a catalog group from a descriptor.
 
-    Accepted: 'cyclic N' / 'zN' / 'cN', 'dihedral N' / 'dN' (N = order),
-    'symmetric N' / 'sN', 'alternating N' / 'aN', 'elementary P K',
-    'klein' / 'v4', 'quaternion8' / 'q8', direct products 'A x B', or a
-    path to a table file.
+    Accepted, in any case and spacing: 'cyclic N' / 'zN' / 'cN',
+    'dihedral N' / 'dN' (N = order), 'symmetric N' / 'sN', 'alternating
+    N' / 'aN', 'elementary P K', 'klein' / 'v4', 'quaternion8' / 'q8',
+    direct products 'A x B', or a path to a table file.
     """
     spec = spec.strip()
     if " x " in spec:
-        parts = [make_group(p) for p in spec.split(" x ")]
-        g = parts[0]
-        for h in parts[1:]:
-            g = direct_product(g, h)
-        return g
-    low = spec.lower()
-    words = low.split() or [""]
-    if words[0] in ("cyclic",) and len(words) == 2:
-        return cyclic_group(int(words[1]))
-    if words[0] == "dihedral" and len(words) == 2:
-        return dihedral_group(int(words[1]))
-    if words[0] == "symmetric" and len(words) == 2:
-        return symmetric_group(int(words[1]))
-    if words[0] == "alternating" and len(words) == 2:
-        return alternating_group(int(words[1]))
-    if words[0] == "elementary" and len(words) == 3:
+        return functools.reduce(
+            direct_product, map(make_group, spec.split(" x "))
+        )
+    words = spec.lower().split()
+    m = re.fullmatch(r"([a-z]+) ?(\d+)", " ".join(words))
+    if m and m[1] in _FAMILIES:
+        return _FAMILIES[m[1]](int(m[2]))
+    if words[:1] == ["elementary"] and len(words) == 3:
         return elementary_abelian_group(int(words[1]), int(words[2]))
-    if low in ("quaternion8", "q8"):
-        return quaternion_group()
-    if low in ("klein", "v4"):
+    if words in (["klein"], ["v4"]):
         return elementary_abelian_group(2, 2)
-    m = _NAME_RE.match(low)
-    if m:
-        kind, n = m.group(1), int(m.group(2))
-        if kind in ("z", "c"):
-            return cyclic_group(n)
-        if kind == "d":
-            return dihedral_group(n)
-        if kind == "s":
-            return symmetric_group(n)
-        if kind == "a":
-            return alternating_group(n)
+    if words in (["quaternion8"], ["q8"]):
+        return quaternion_group()
     if Path(spec).is_file():
         return read_group_file(spec)
     raise GroupFormatError(f"unknown group descriptor: {spec!r}")

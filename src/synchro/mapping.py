@@ -10,10 +10,11 @@ other.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
-from .groups import FiniteGroup, abelianization, sylow2_is_cyclic
+from .groups import FiniteGroup, commutator_subgroup, sylow2_is_cyclic
 
 DEFAULT_BUDGET = 10**9
 
@@ -64,8 +65,9 @@ def find_complete_mapping(
     smallest item first, trying its options in ascending order; the
     same group always yields the same mapping and node count.  `nodes`
     counts option selections.  Groups whose product of all elements
-    falls outside the derived subgroup are refuted at the root (Hall and
-    Paige's balance condition).  Budget exhaustion is a distinct
+    falls outside the derived subgroup G' are refuted at the root (Hall
+    and Paige's balance condition); G/G' is abelian, so the product may
+    be taken in index order.  Budget exhaustion is a distinct
     outcome, never conflated with a completed refutation.
     """
     n = g.order
@@ -76,11 +78,8 @@ def find_complete_mapping(
         return SearchResult(
             SearchStatus.FOUND, CompleteMapping(g, ident), nodes=0
         )
-    quot, coset = abelianization(g)
-    sigma = quot.identity
-    for x in range(n):
-        sigma = quot.mul(sigma, coset[x])
-    if sigma != quot.identity:
+    derived = commutator_subgroup(g)
+    if functools.reduce(g.mul, range(n), g.identity) not in derived:
         return SearchResult(SearchStatus.NOT_FOUND, None, 0)
 
     options = [

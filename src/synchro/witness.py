@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, PermGroup, Permutation, enumerate_elements
+from .groups import FiniteGroup, PermGroup, enumerate_elements
 
 
 class WitnessError(Exception):
@@ -71,21 +71,14 @@ def canonical_partition(P) -> tuple[frozenset[int], ...]:
     return tuple(sorted(parts, key=min))
 
 
-def group_elements(g) -> list[Permutation]:
-    """Accept a PermGroup (enumerated breadth-first, without building a
-    multiplication table) or an explicit element list."""
-    if isinstance(g, PermGroup):
-        return enumerate_elements(g, cap=10**6)
-    return list(g)
-
-
-def verify_sync_witness(g, w: SyncWitness):
+def verify_sync_witness(g: PermGroup, w: SyncWitness):
     """None when every translate of A is a transversal of P; otherwise
-    the first (element, part) failure."""
+    the first (element, part) failure.  Elements are enumerated
+    breadth-first, without building a multiplication table."""
     union = frozenset().union(*w.P)
     if len(union) != sum(len(p) for p in w.P):
         raise WitnessError("partition parts overlap")
-    for perm in group_elements(g):
+    for perm in enumerate_elements(g, cap=10**6):
         Ag = {perm(a) for a in w.A}
         for part in w.P:
             if len(Ag & part) != 1:
@@ -93,17 +86,17 @@ def verify_sync_witness(g, w: SyncWitness):
     return None
 
 
-def verify_sep_witness(g, w: SepWitness):
+def verify_sep_witness(g: PermGroup, w: SepWitness):
     """None when |Ag n B| = 1 for every group element; otherwise the
     first failing element."""
-    for perm in group_elements(g):
+    for perm in enumerate_elements(g, cap=10**6):
         Ag = {perm(a) for a in w.A}
         if len(Ag & w.B) != 1:
             return perm
     return None
 
 
-def sync_witness_to_sep(g, w: SyncWitness) -> SepWitness:
+def sync_witness_to_sep(g: PermGroup, w: SyncWitness) -> SepWitness:
     """Take B = the largest part of P.  A verified sync witness of a
     transitive group forces all parts equal-sized, which is asserted."""
     if verify_sync_witness(g, w) is not None:

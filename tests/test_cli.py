@@ -132,6 +132,14 @@ class TestDiagonal:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "colouring cap" in err
 
+    @pytest.mark.parametrize("n", ["4", "5"])
+    def test_colour_flags_conflict(self, capsys, n):
+        code, out, err = run(capsys, "diagonal", "--group", "z5", "--n", n,
+                             "--color-even", "--color-odd")
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
+
     def test_witness_emission(self, capsys, tmp_path):
         target = tmp_path / "witness.json"
         code, _, _ = run(
@@ -317,6 +325,14 @@ class TestChartab:
         assert payload["xi"]["value"] == [1, 1]
         assert payload["xi"]["scaled"] == 6
 
+    def test_zero_scale(self, capsys):
+        code, out, _ = run(
+            capsys, "chartab", "--table", str(bundled_table_path("s3")),
+            "--xi", "2a", "2a", "3a", "--scale", "0",
+        )
+        assert code == 0
+        assert json.loads(out)["xi"]["scaled"] == 0
+
     def test_non_integral_scale_exits_2(self, capsys):
         # xi(3a, 3a, 3a) = 1/3 in s3
         code, out, err = run(
@@ -386,6 +402,7 @@ ENTRY_POINT_ERRORS = {
     "colouring-of-2^79-vertices": (
         2, lambda tmp: ["diagonal", "--group", "z2", "--n", "80", "--color-even"]
     ),
+    "s8": (2, lambda tmp: ["complete-mapping", "--group", "s8"]),
 }
 
 
@@ -695,7 +712,7 @@ MAPPING_GROUPS = ["z1", "z2", "z7", "klein", "s3", "q8", "a4", "d8", "z64",
 SMALL_GROUPS = ["z1", "z2", "z3", "klein", "s3", "z4", "z5", "q8", "a4", "d8"]
 REGULAR_GROUPS = SMALL_GROUPS + ["s4", "z2 x a4", "q8 x z8", "elementary 2 6"]
 BAD_GROUPS = ["", "z0", "d7", "s", "monster", "elementary 4 2", "z3 x ",
-              "cyclic x", "elementary 2 -1"]
+              "cyclic x", "elementary 2 -1", "s8", "z100000000", "z60 x z60"]
 POINT_LISTS = ["[0,1]", "[0,3]", "[0,2]", "[0]", "[]", "[0,1,2,3]", "[4]",
                "[-1]", "[[0]]", '["0"]', "5", "null", "{}", "[0,", "[true]"]
 WORD_CHARS = "abtcdxz()[]{}^,-0123 "

@@ -11,7 +11,6 @@ from synchro.groups import (
     PermGroup,
     Permutation,
     SizeOverflowError,
-    abelianization,
     alternating_group,
     commutator_subgroup,
     conjugacy_classes,
@@ -186,17 +185,43 @@ class TestCatalog:
         q = quaternion_group()
         assert sum(q.element_order(a) == 2 for a in range(8)) == 1
 
-    def test_make_group_descriptors(self):
-        assert make_group("z5").order == 5
-        assert make_group("c5").order == 5
-        assert make_group("d10").order == 10
-        assert make_group("s3").order == 6
-        assert make_group("a4").order == 12
-        assert make_group("klein").order == 4
-        assert make_group("v4").order == 4
-        assert make_group("q8").order == 8
-        assert make_group("elementary 3 2").order == 9
-        assert make_group("z2 x z2 x z2").order == 8
+    @pytest.mark.parametrize(
+        "spec,order",
+        [
+            ("z5", 5), ("c5", 5), ("d10", 10), ("s3", 6), ("a4", 12),
+            ("klein", 4), ("v4", 4), ("q8", 8), ("elementary 3 2", 9),
+            ("z2 x z2 x z2", 8), ("cyclic 5", 5), ("dihedral 8", 8),
+            ("symmetric 3", 6), ("alternating 4", 12), ("quaternion8", 8),
+            ("Z5", 5), ("cyclic  5", 5),
+        ],
+    )
+    def test_make_group_descriptors(self, spec, order):
+        assert make_group(spec).order == order
+
+    def test_long_and_short_forms_agree(self):
+        for long, short in [("cyclic 5", "z5"), ("dihedral 8", "d8"),
+                            ("symmetric 3", "s3"), ("alternating 4", "a4"),
+                            ("quaternion8", "q8"), ("klein", "v4")]:
+            assert make_group(long) == make_group(short)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["s8", "a8", "z3163", "d3164", "elementary 2 12", "z60 x z60",
+         "z100000000", "s1000000000", "a1000000000", "elementary 2 1000000000",
+         "elementary 1000003 1"],
+    )
+    def test_table_bound(self, spec):
+        # refused from the order alone, before any element is built
+        with pytest.raises(GroupFormatError, match="table would exceed"):
+            make_group(spec)
+
+    @pytest.mark.parametrize(
+        "spec", ["elementary 2 -1", "elementary 1" + "0" * 400 + " -1"],
+        ids=["p=2", "p=10^400"],
+    )
+    def test_negative_elementary_rank(self, spec):
+        with pytest.raises(GroupFormatError, match="rank"):
+            make_group(spec)
 
     def test_make_group_rejects_unknown(self):
         with pytest.raises(GroupFormatError):
@@ -262,18 +287,6 @@ class TestDerivedSubgroup:
         assert len(d) == 3
         assert all(g.element_order(x) in (1, 3) for x in d)
 
-    def test_abelianization_sizes(self):
-        cases = {"s3": 2, "s4": 2, "a4": 3, "q8": 4, "d8": 4, "z6": 6}
-        for spec, size in cases.items():
-            quot, coset = abelianization(make_group(spec))
-            assert quot.order == size
-            quot.check_axioms()
-            g = make_group(spec)
-            # coset map is a homomorphism
-            for a in range(g.order):
-                for b in range(g.order):
-                    assert coset[g.mul(a, b)] == quot.mul(coset[a], coset[b])
-
     def test_perfect_group(self):
         a5 = alternating_group(5)
         assert len(commutator_subgroup(a5)) == 60
@@ -319,11 +332,43 @@ class TestGroupFiles:
         g = make_group("d8")
         path = tmp_path / "d8.grp"
         rows = [" ".join(map(str, row)) for row in g.table]
+        labels = [f"g{a}" for a in range(g.order)]
         path.write_text("\n".join(
-            [f"order {g.order}", *rows, "labels", " ".join(g.labels)]
+            [f"order {g.order}", *rows, "labels", " ".join(labels)]
         ) + "\n")
         h = read_group_file(path)
-        assert (h.order, h.table, h.labels) == (g.order, g.table, g.labels)
+        assert (h.order, h.table, h.identity) == (g.order, g.table, g.identity)
+
+    Z3 = "order 3\n0 1 2\n1 2 0\n2 0 1\n"
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            pytest.param(Z3 + "labels\ne a\n", "3 labels", id="two-labels"),
+            pytest.param(Z3 + "labels e a b c", "3 labels", id="four-labels"),
+            pytest.param(Z3 + "names\ne a b\n", "trailer", id="not-labels"),
+            pytest.param(Z3 + "0", "trailer", id="extra-entry"),
+            pytest.param(Z3[:-3], "truncated", id="truncated"),
+            pytest.param(Z3[:-2] + "x", "invalid literal", id="non-integer"),
+            pytest.param("order\n", "bad order", id="no-order"),
+            pytest.param("order 0\n", "order must be", id="order-0"),
+            pytest.param("orderly 1\n0\n", "header", id="orderly"),
+            # the order alone refuses a table past the bound
+            pytest.param("order 3163\n0\n", "table would exceed",
+                         id="order-3163"),
+            pytest.param("order 3162\n0\n", "truncated", id="order-3162"),
+        ],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.grp"
+        path.write_text(text)
+        with pytest.raises(GroupFormatError, match=match):
+            read_group_file(path)
+
+    def test_tokens_may_span_lines(self, tmp_path):
+        path = tmp_path / "z3.grp"
+        path.write_text("order\n3 0 1\n2 1 2 0 2\n0 1 labels e\na b")
+        assert read_group_file(path).table == cyclic_group(3).table
 
     def test_bad_table_rejected(self, tmp_path):
         path = tmp_path / "bad.grp"
@@ -370,7 +415,7 @@ class TestGroupFiles:
         path.write_text("order 3\n0 1 2\n1 2 0\n2 0 1\nlabels\ne a b\n")
         g = make_group(str(path))
         assert g.table == cyclic_group(3).table
-        assert g.labels == ("e", "a", "b")
+        assert not hasattr(g, "labels")
 
 
 def test_element_order_divides_group_order(small_catalog):

@@ -102,6 +102,10 @@ class TestSearch:
             assert found == hall_paige_predicate(g), spec
             if found:
                 assert verify_complete_mapping(g, r.mapping.phi), spec
+            else:
+                # Hall and Paige's balance test refutes at the root
+                assert r.status is SearchStatus.NOT_FOUND, spec
+                assert r.nodes == 0, spec
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(min_value=1, max_value=15))
