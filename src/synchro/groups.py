@@ -67,9 +67,6 @@ class Permutation:
             inv[j] = i
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * self.degree
         out = []
@@ -251,24 +248,16 @@ class FiniteGroup:
 def enumerate_elements(g: PermGroup, cap: int = 100_000) -> list[Permutation]:
     """Every element of <generators>: the identity first, the rest in
     breadth-first order, applying generators in their listed order."""
-    ident = g.identity()
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for gen in g.generators:
-                y = x * gen
-                if y not in seen:
-                    if len(elements) >= cap:
-                        raise SizeOverflowError(
-                            f"closure exceeds cap {cap}"
-                        )
-                    seen.add(y)
-                    elements.append(y)
-                    new_frontier.append(y)
-        frontier = new_frontier
+    elements = [g.identity()]
+    seen = set(elements)
+    for x in elements:  # grows while it is walked: a queue
+        for gen in g.generators:
+            y = x * gen
+            if y not in seen:
+                if len(elements) >= cap:
+                    raise SizeOverflowError(f"closure exceeds cap {cap}")
+                seen.add(y)
+                elements.append(y)
     return elements
 
 
@@ -308,54 +297,33 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyClassing:
     )
 
 
-def schreier_structure(
-    g: PermGroup, point: int
-) -> tuple[list[int], dict[int, Permutation], PermGroup]:
-    """One breadth-first search from the point: its orbit (in BFS
-    order), a Schreier transversal u -> t_u with t_u(point) = u, and the
-    Schreier generators t_u * gen * t_gen(u)^-1 of the point stabilizer
-    (Seress, Permutation Group Algorithms, ch. 4)."""
-    if not 0 <= point < g.degree:
-        raise GroupFormatError(f"point {point} out of range")
-    transversal = {point: g.identity()}
-    orbit = [point]
-    i = 0
-    while i < len(orbit):
-        u = orbit[i]
-        i += 1
-        for gen in g.generators:
-            v = gen(u)
-            if v not in transversal:
-                transversal[v] = transversal[u] * gen
-                orbit.append(v)
-    stab_gens = []
-    seen = set()
-    for u in orbit:
-        for gen in g.generators:
-            s = transversal[u] * gen * transversal[gen(u)].inverse()
-            if not s.is_identity() and s not in seen:
-                seen.add(s)
-                stab_gens.append(s)
-    return orbit, transversal, PermGroup(g.degree, tuple(stab_gens))
-
-
 def commutator_subgroup(g: FiniteGroup) -> frozenset[int]:
-    """The subgroup generated by all commutators [a,b]."""
-    gens = {
-        g.mul(g.mul(g.inv(a), g.inv(b)), g.mul(a, b))
-        for a in range(g.order)
-        for b in range(a)
-    }
-    gens.discard(g.identity)
-    closed = {g.identity}
-    frontier = [g.identity]
-    while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = g.mul(x, s)
-            if y not in closed:
-                closed.add(y)
-                frontier.append(y)
+    """G' as the normal closure of the commutators [s, t] of a generating
+    set, whose quotient is abelian.  Each new normal generator re-closes
+    the subgroup under products, at least doubling it, and queues its
+    conjugates by the generators until nothing new appears."""
+    gens = g.generating_set()
+    mul, inv = g.mul, g.inv
+    todo = [
+        mul(mul(inv(s), inv(t)), mul(s, t))
+        for i, s in enumerate(gens)
+        for t in gens[:i]
+    ]
+    closed, normal_gens = {g.identity}, []
+    while todo:
+        c = todo.pop()
+        if c in closed:
+            continue
+        normal_gens.append(c)
+        frontier = list(closed)
+        while frontier:
+            x = frontier.pop()
+            for n in normal_gens:
+                y = mul(x, n)
+                if y not in closed:
+                    closed.add(y)
+                    frontier.append(y)
+        todo.extend(mul(mul(inv(s), c), s) for s in gens)
     return frozenset(closed)
 
 

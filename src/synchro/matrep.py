@@ -58,6 +58,7 @@ tables for O(rank) involutions, not O(|orbit|).
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -484,26 +485,35 @@ def _orbit(seed: BitMatrix, conjugators):
     first with conjugators applied in listed order, yielding each element
     with its tables.  Those tables form the element's images once the
     consumer is done with them, and are then dropped; the tables of each
-    h are built once."""
+    h are built once.  `seen` keeps each element's rows packed into one
+    bytes string, and only the queue holds matrices, so a streaming
+    consumer holds the frontier, not the orbit."""
     dim = seed.dim
     by_tables = [
         (h.inverse().rows, _subset_xor_tables(h.rows)) for h in conjugators
     ]
     if any(len(hinv_rows) != dim for hinv_rows, _ in by_tables):
         raise MatrixError("shape mismatch")
-    order = [seed]
-    seen = {seed}
-    for m in order:  # grows while it is walked: a queue
+    width = (dim + 7) // 8
+
+    def packed(rows):
+        return b"".join([r.to_bytes(width, "big") for r in rows])
+
+    queue = deque([seed])
+    seen = {packed(seed.rows)}
+    while queue:
+        m = queue.popleft()
         mt = _subset_xor_tables(m.rows)
         yield m, mt
         for hinv_rows, ht in by_tables:
-            c = BitMatrix(2, dim, [
+            rows = [
                 _row_times_tables(_row_times_tables(r, mt), ht)
                 for r in hinv_rows
-            ])
-            if c not in seen:
-                seen.add(c)
-                order.append(c)
+            ]
+            key = packed(rows)
+            if key not in seen:
+                seen.add(key)
+                queue.append(BitMatrix(2, dim, rows))
 
 
 def orbit_closure(seed: BitMatrix, conjugators) -> list[BitMatrix]:

@@ -2,8 +2,9 @@
 intersection-algebra machinery for transitive actions.
 
 The suborbits of a transitive group are the orbits of a point
-stabilizer.  They come from one Schreier search (orbit, transversal and
-stabilizer generators), so no group element is listed and no
+stabilizer.  They come from one breadth-first pass from the base: each
+Schreier generator of the stabilizer is streamed into a union-find over
+the points and dropped, so no group element is listed or stored and no
 multiplication table is built.  Each suborbit corresponds to an orbital
 graph, whose collapsed adjacency matrix A_i records, for a
 representative of each suborbit j, how its orbital-i neighbourhood
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .groups import PermGroup, schreier_structure
+from .groups import PermGroup, Permutation
 
 
 class OrbitalError(Exception):
@@ -51,36 +52,50 @@ class CollapsedAdjacency:
 
 
 def orbital_decomposition(g: PermGroup, base: int) -> OrbitalDecomposition:
-    """Suborbits ordered by (size, least point) with {base} first.  One
-    Schreier search from the base gives the stabilizer generators, whose
-    orbits are the suborbits, and a transversal element t_x carrying the
-    base to x; suborbit x pairs with the suborbit holding t_x^-1(base)."""
-    orbit, transversal, stab = schreier_structure(g, base)
-    if len(orbit) != g.degree:
+    """Suborbits ordered by (size, least point) with {base} first.  A
+    breadth-first search keeps back[v], the images of t_v^-1 for the
+    t_v = t_u * gen carrying the base to v.  Off the search tree, u -gen->
+    v gives the Schreier generator t_u gen t_v^-1: back[u][y] ->
+    back[v][gen(y)].  These generate the stabilizer (Schreier's lemma),
+    so a union-find over those pairs gives the suborbits.  Suborbit x
+    pairs with the one holding t_x^-1(base)."""
+    d = g.degree
+    if not 0 <= base < d:
+        raise OrbitalError(f"point {base} out of range")
+    gens = [(gen.images, gen.inverse().images) for gen in g.generators]
+    back = [None] * d
+    back[base] = tuple(range(d))
+    parent = list(range(d))  # roots are least members: parent[x] <= x
+    queue = [base]
+    for u in queue:  # grows while it is walked
+        bu = back[u]
+        for images, inv in gens:
+            v = images[u]
+            if back[v] is None:  # a tree edge: its Schreier generator is 1
+                back[v] = tuple(map(bu.__getitem__, inv))
+                queue.append(v)
+                continue
+            for x, y in zip(bu, map(back[v].__getitem__, images)):
+                while parent[x] != x:  # path halving
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if y < x:
+                    x, y = y, x
+                parent[y] = x
+    if len(queue) != d:
         raise OrbitalError("group is not transitive")
-    seen = [False] * g.degree
-    raw = []
-    for x in range(g.degree):
-        if seen[x]:
-            continue
-        seen[x] = True
-        orb = [x]
-        for u in orb:
-            for s in stab.generators:
-                v = s(u)
-                if not seen[v]:
-                    seen[v] = True
-                    orb.append(v)
-        raw.append(sorted(orb))
-    raw.sort(key=lambda orb: (orb != [base], len(orb), orb[0]))
+    classes: dict[int, list[int]] = {}
+    for x in range(d):  # each smaller point holds its root already
+        root = parent[x] = parent[parent[x]]
+        classes.setdefault(root, []).append(x)
+    raw = sorted(classes.values(), key=lambda o: (o != [base], len(o), o[0]))
     suborbit_of = {x: i for i, orb in enumerate(raw) for x in orb}
-    reps = tuple(transversal[orb[0]] for orb in raw)
-    pairing = tuple(suborbit_of[t.inverse()(base)] for t in reps)
     return OrbitalDecomposition(
         base,
-        tuple(tuple(orb) for orb in raw),
-        pairing,
-        reps,
+        tuple(map(tuple, raw)),
+        tuple(suborbit_of[back[orb[0]][base]] for orb in raw),
+        tuple(Permutation(back[orb[0]]).inverse() for orb in raw),
     )
 
 

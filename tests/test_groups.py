@@ -25,11 +25,11 @@ from synchro.groups import (
     quaternion_group,
     read_group_file,
     regular_perm_group,
-    schreier_structure,
     sylow2_is_cyclic,
     symmetric_group,
     two_part,
 )
+from synchro.orbitals import orbital_decomposition
 
 
 def swap_intercalate(table, r1, r2, c1, c2):
@@ -276,6 +276,24 @@ class TestSylow:
         assert two_part(37) == 1
 
 
+def all_pairs_commutator_subgroup(g):
+    """Oracle: the subgroup generated by every commutator [a, b]."""
+    gens = {
+        g.mul(g.mul(g.inv(a), g.inv(b)), g.mul(a, b))
+        for a in range(g.order)
+        for b in range(a)
+    }
+    closed, frontier = {g.identity}, [g.identity]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = g.mul(x, s)
+            if y not in closed:
+                closed.add(y)
+                frontier.append(y)
+    return frozenset(closed)
+
+
 class TestDerivedSubgroup:
     def test_abelian_trivial(self):
         g = cyclic_group(12)
@@ -290,6 +308,39 @@ class TestDerivedSubgroup:
     def test_perfect_group(self):
         a5 = alternating_group(5)
         assert len(commutator_subgroup(a5)) == 60
+
+    def test_matches_all_pairs_oracle(self, small_catalog, a5):
+        extra = [(s, make_group(s)) for s in ("s5", "q8 x z3", "z2 x a4")]
+        for spec, g in [*small_catalog, ("a5", a5), *extra]:
+            assert commutator_subgroup(g) == all_pairs_commutator_subgroup(
+                g
+            ), spec
+
+    def test_generator_less_table_file(self, tmp_path):
+        s4 = make_group("s4")
+        path = tmp_path / "s4.grp"
+        rows = [" ".join(map(str, row)) for row in s4.table]
+        path.write_text("\n".join([f"order {s4.order}", *rows]) + "\n")
+        g = read_group_file(path)
+        assert g.generators is None
+        d = commutator_subgroup(g)
+        assert len(d) == 12
+        assert d == all_pairs_commutator_subgroup(g)
+
+    def test_products_are_few_on_an_abelian_group(self, monkeypatch):
+        # the normal closure of one generator's commutators, not the
+        # order^2 / 2 commutators of every pair
+        g = cyclic_group(1500)
+        calls = []
+        real = FiniteGroup.mul
+
+        def counted(self, a, b):
+            calls.append(None)
+            return real(self, a, b)
+
+        monkeypatch.setattr(FiniteGroup, "mul", counted)
+        assert commutator_subgroup(g) == frozenset({g.identity})
+        assert len(calls) < 1500
 
 
 class TestActions:
@@ -308,10 +359,13 @@ class TestActions:
                 Permutation((1, 2, 3, 0)),
             ),
         )
-        orbit, transversal, stab = schreier_structure(s4, 0)
-        assert sorted(orbit) == [0, 1, 2, 3]
-        assert all(transversal[u](0) == u for u in orbit)
-        assert len(enumerate_elements(stab)) == 6
+        dec = orbital_decomposition(s4, 0)
+        assert sorted(x for orb in dec.suborbits for x in orb) == [0, 1, 2, 3]
+        assert dec.suborbits == ((0,), (1, 2, 3))
+        assert all(
+            t(0) == orb[0] for t, orb in zip(dec.transversal, dec.suborbits)
+        )
+        assert sum(p(0) == 0 for p in enumerate_elements(s4)) == 6
 
     def test_pair_action_degree(self):
         s4 = PermGroup(

@@ -3,6 +3,7 @@ import itertools
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -466,6 +467,28 @@ class TestOrbitClosure:
         orbit = orbit_closure(seed, conj)
         assert len(orbit) == points * (points - 1) // 2
         assert orbit == naive_closure(seed, conj)
+
+    def test_streaming_holds_the_frontier_not_the_orbit(self):
+        # 378 transpositions at dim 28: a streaming count keeps the queue
+        # and packed keys, the list form every element
+        dim = 28
+        c = random_invertible(random.Random(dim), dim)
+        cycle = "(" + " ".join(map(str, range(dim))) + ")"
+        seed, *conj = (
+            perm_matrix(parse_permutation(w, dim)).conjugate_by(c)
+            for w in ("(0 1)", "(0 1)", cycle)
+        )
+        peaks = []
+        for consume in (lambda: sum(1 for _ in matrep._orbit(seed, conj)),
+                        lambda: len(orbit_closure(seed, conj))):
+            tracemalloc.start()
+            try:
+                assert consume() == dim * (dim - 1) // 2
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        streaming, listed = peaks
+        assert streaming < listed / 2
 
     def test_shape_mismatch(self):
         with pytest.raises(MatrixError):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -206,23 +207,56 @@ def test_decomposition_matches_brute_force_at_every_base(name, build):
             assert t(base) == orb[0]
 
 
+def symmetric_natural(n) -> PermGroup:
+    return PermGroup(
+        n,
+        (
+            parse_permutation("(0 1)", n),
+            Permutation(tuple(range(1, n)) + (0,)),
+        ),
+    )
+
+
 def test_s10_on_pairs_needs_no_element_list():
     # |S10| = 3 628 800 is past every closure cap; the Schreier search
     # never lists the group
-    natural = PermGroup(
-        10,
-        (
-            parse_permutation("(0 1)", 10),
-            Permutation(tuple(range(1, 10)) + (0,)),
-        ),
-    )
-    action, _ = pair_action(natural)
+    action, _ = pair_action(symmetric_natural(10))
     dec = orbital_decomposition(action, 0)
     assert dec.subdegrees == (1, 16, 28)
     assert dec.pairing == (0, 1, 2)
     for i in range(dec.rank):
         for row in collapsed_adjacency(action, dec, i).matrix:
             assert sum(row) == dec.subdegrees[i]
+
+
+def test_decomposition_forms_no_permutation_product(monkeypatch):
+    # the Schreier generators are streamed into the union-find as image
+    # pairs; none is formed as a product of permutations
+    action, _ = pair_action(symmetric_natural(5))
+    expected = orbital_decomposition(action, 0)
+
+    def boom(self, other):
+        raise AssertionError("Permutation product formed")
+
+    monkeypatch.setattr(Permutation, "__mul__", boom)
+    assert orbital_decomposition(action, 0) == expected
+    assert expected.subdegrees == (1, 3, 6)
+
+
+def test_triangular_graph_closed_form():
+    # S_n on pairs is the triangular graph T(n), strongly regular with
+    # parameters (C(n,2), 2(n-2), n-2, 4)
+    n = 20
+    action, _ = pair_action(symmetric_natural(n))
+    assert action.degree == math.comb(n, 2)
+    dec = orbital_decomposition(action, 0)
+    assert dec.subdegrees == (1, 2 * (n - 2), math.comb(n - 2, 2))
+    assert dec.pairing == (0, 1, 2)
+    assert collapsed_adjacency(action, dec, 1).matrix == (
+        (0, 2 * (n - 2), 0),
+        (1, n - 2, n - 3),
+        (0, 4, 2 * n - 8),
+    )
 
 
 class TestIntersectionAlgebra:
