@@ -231,10 +231,11 @@ def cmd_orbitals(args) -> int:
         ca = orbitals.collapsed_adjacency(perm_g, dec, args.collapsed - 1)
         payload["collapsed"] = [list(r) for r in ca.matrix]
     if args.wilcox:
-        mats = [
+        # one collapsed matrix at a time: each is rank x rank
+        mats = (
             orbitals.collapsed_adjacency(perm_g, dec, i)
             for i in range(dec.rank)
-        ]
+        )
         payload["double_coset_checks"] = orbitals.wilcox_check(
             mats, dec.pairing
         )

@@ -2,9 +2,9 @@
 
 Everything downstream acts on these two carriers: a Permutation is an
 image list on 0-based points, a FiniteGroup is an order x order table of
-element indices.  Groups are kept at desk scale (tables of at most
-MAX_TABLE_ENTRIES = 10^7 entries, so order <= 3162); anything bigger
-stays a generator-only PermGroup.
+element indices with a generating set.  Groups are kept at desk scale
+(tables of at most MAX_TABLE_ENTRIES = 10^7 entries, so order <= 3162);
+anything bigger stays a generator-only PermGroup.
 """
 
 from __future__ import annotations
@@ -107,17 +107,10 @@ class Permutation:
 
 
 def parse_permutation(text: str, degree: int | None = None) -> Permutation:
-    """Parse '[1,0,2]' image-list or '(0 1)(2 3)' cycle literals."""
+    """Parse a cycle literal such as '(0 1)(2 3)'; '' and '()' are the
+    identity.  The degree defaults to one past the largest point."""
     text = text.strip()
-    if text.startswith("["):
-        try:
-            images = [int(t) for t in re.findall(r"-?\d+", text)]
-        except ValueError as exc:
-            raise GroupFormatError(str(exc)) from exc
-        if degree is not None and len(images) != degree:
-            raise GroupFormatError(f"expected degree {degree}, got {len(images)}")
-        return Permutation(tuple(images))
-    if text.startswith("(") or text == "" or text == "()":
+    if text.startswith("(") or text == "":
         cycles = [
             tuple(int(t) for t in re.split(r"[,\s]+", body.strip()) if t)
             for body in re.findall(r"\(([^()]*)\)", text)
@@ -151,10 +144,11 @@ class PermGroup:
 class FiniteGroup:
     order: int
     table: tuple[tuple[int, ...], ...]
+    # a generating set (element indices): the catalog's own, or the greedy
+    # set a table file's associativity check verified; () for the trivial
+    # group.  Actions and closures run over it, not over every element
+    generators: tuple[int, ...]
     identity: int = 0
-    # a generating set (element indices), kept when known; used by callers
-    # that need to act by generators rather than by all elements
-    generators: tuple[int, ...] | None = None
     # set by the first read of `inverses`; a declared field, because a
     # functools.cached_property materializes __dict__, which slows every
     # attribute read on the instance (~2.5x on CPython 3.11)
@@ -194,11 +188,6 @@ class FiniteGroup:
         """a^g = g^-1 a g."""
         return self.mul(self.mul(self.inv(g), a), g)
 
-    def generating_set(self) -> tuple[int, ...]:
-        if self.generators is not None:
-            return self.generators
-        return tuple(i for i in range(self.order) if i != self.identity)
-
     def check_latin(self) -> None:
         """Every row and every column is a permutation of the elements:
         O(order^2), so it runs at every order."""
@@ -210,13 +199,14 @@ class FiniteGroup:
                         f"{name} {a} repeats an element; not a Latin square"
                     )
 
-    def check_axioms(self) -> None:
+    def check_axioms(self) -> tuple[int, ...]:
         """Identity and inverse laws, then Light's associativity test
         (Clifford & Preston 1961, 1.2) over a greedy generating set: s
         passes when (x s) y = x (s y) for all x, y.  The elements that
         pass are closed under the product, so the table is associative
         once the passing generators reach every element.  A group needs
-        at most log2(order) of them: O(order^2 log order) in all."""
+        at most log2(order) of them: O(order^2 log order) in all.
+        Returns that generating set, in increasing order."""
         e, table = self.identity, self.table
         for a in range(self.order):
             if table[e][a] != a or table[a][e] != a:
@@ -243,6 +233,7 @@ class FiniteGroup:
                     if y not in reached:
                         reached.add(y)
                         stack.append(y)
+        return tuple(gens)
 
 
 def enumerate_elements(g: PermGroup, cap: int = 100_000) -> list[Permutation]:
@@ -302,7 +293,7 @@ def commutator_subgroup(g: FiniteGroup) -> frozenset[int]:
     set, whose quotient is abelian.  Each new normal generator re-closes
     the subgroup under products, at least doubling it, and queues its
     conjugates by the generators until nothing new appears."""
-    gens = g.generating_set()
+    gens = g.generators
     mul, inv = g.mul, g.inv
     todo = [
         mul(mul(inv(s), inv(t)), mul(s, t))
@@ -360,12 +351,7 @@ def _from_elements(elements, mul, gens) -> FiniteGroup:
         tuple(index[mul(elements[a], elements[b])] for b in range(n))
         for a in range(n)
     )
-    return FiniteGroup(
-        order=n,
-        table=table,
-        identity=0,
-        generators=tuple(sorted(index[e] for e in gens)) or None,
-    )
+    return FiniteGroup(n, table, tuple(sorted(index[e] for e in gens)))
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -475,8 +461,8 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     def mul(x, y):
         return (g.mul(x[0], y[0]), h.mul(x[1], y[1]))
 
-    gens = [(a, h.identity) for a in g.generating_set()] + [
-        (g.identity, b) for b in h.generating_set()
+    gens = [(a, h.identity) for a in g.generators] + [
+        (g.identity, b) for b in h.generators
     ]
     return _from_elements(elements, mul, gens)
 
@@ -514,10 +500,9 @@ def read_group_file(path) -> FiniteGroup:
         ident = table.index(tuple(range(n)))
     except ValueError:
         raise GroupFormatError(f"{path}: table has no identity") from None
-    g = FiniteGroup(order=n, table=table, identity=ident)
-    g.check_latin()
-    g.check_axioms()
-    return g
+    unchecked = FiniteGroup(n, table, (), ident)
+    unchecked.check_latin()
+    return FiniteGroup(n, table, unchecked.check_axioms(), ident)
 
 
 _FAMILIES = {
@@ -560,7 +545,7 @@ def regular_perm_group(g: FiniteGroup) -> PermGroup:
     """Right-regular action of g on its own elements."""
     gens = tuple(
         Permutation(tuple(g.mul(a, s) for a in range(g.order)))
-        for s in g.generating_set()
+        for s in g.generators
     )
     return PermGroup(g.order, gens)
 

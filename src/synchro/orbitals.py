@@ -271,9 +271,10 @@ def _certify(mats, gens) -> None:
 
 def wilcox_check(matrices, pairing):
     """Per-orbital double-coset containment checks read off the
-    collapsed matrices: inverse containment needs (A_i)_{i,i*} != 0,
-    self containment needs (A_i)_{i,i} != 0.  Returns witnessing
-    entries alongside the booleans."""
+    collapsed matrices A_0, A_1, ..., an iterable consumed one at a time:
+    inverse containment needs (A_i)_{i,i*} != 0, self containment needs
+    (A_i)_{i,i} != 0.  Returns witnessing entries alongside the
+    booleans."""
     report = []
     for i, ca in enumerate(matrices):
         m = ca.matrix

@@ -16,6 +16,13 @@ def write_matrix_file(mats, path) -> None:
     Path(path).write_text("\n".join(out) + "\n")
 
 
+def write_group_file(g, path) -> None:
+    """Write a group's table in the format groups.read_group_file reads:
+    no generators travel with it."""
+    rows = [" ".join(map(str, row)) for row in g.table]
+    Path(path).write_text("\n".join([f"order {g.order}", *rows]) + "\n")
+
+
 def catalog_small():
     """Catalog instances of order <= 24 exercised by the search/criterion
     cross-check."""

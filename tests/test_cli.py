@@ -5,15 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import write_matrix_file
+from conftest import write_group_file, write_matrix_file
 from hypothesis import given, settings, strategies as st
 
-from synchro import chartab, cli, matrep, reproduce
+from synchro import chartab, cli, groups, matrep, reproduce
 from synchro.chartab import bundled_table_path
 from synchro.matrep import BitMatrix, StandardGeneratorReport
 from synchro.orbitals import CollapsedAdjacency
@@ -265,6 +266,45 @@ class TestOrbitals:
         assert code == 2
         assert out == ""
         assert err == "error: point -1 out of range\n"
+
+    def test_wilcox_holds_one_collapsed_matrix_at_a_time(self, capsys):
+        # rank 120: the matrices together would hold 120^3 entries
+        tracemalloc.start()
+        try:
+            code = cli.main(["orbitals", "--group", "z120", "--wilcox"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 4 * 2**20
+
+
+class TestGroupFiles:
+    @pytest.mark.parametrize("spec", ["z12", "s4", "z2 x q8"])
+    def test_file_payload_matches_catalog(self, capsys, tmp_path, spec):
+        g = groups.make_group(spec)
+        path = tmp_path / "g.grp"
+        write_group_file(g, path)
+        # a sep witness: A = {1, x} for an involution x, and B one element
+        # of each right coset {b, x b}
+        x = next(a for a in range(1, g.order) if g.mul(a, a) == 0)
+        A = [0, x]
+        B = sorted({min(b, g.mul(x, b)) for b in range(g.order)})
+        for argv in (
+            ["orbitals", "--wilcox"],
+            ["witness", "sep", "--A", json.dumps(A), "--B", json.dumps(B)],
+            ["complete-mapping"],
+        ):
+            payloads = []
+            for group in (spec, str(path)):
+                code, out, _ = run(capsys, *argv, "--group", group)
+                assert code == 0, (argv, group)
+                payload = json.loads(out)
+                payload.pop("group", None)
+                payloads.append(payload)
+            assert payloads[0] == payloads[1], argv
+            assert payloads[0].get("ok", True) is True, argv
 
 
 class TestMatrep:

@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from conftest import write_group_file
 from hypothesis import given, strategies as st
 
 from synchro import groups
@@ -64,16 +65,14 @@ class TestPermutation:
     def test_associative(self, p, q, r):
         assert (p * q) * r == p * (q * r)
 
-    def test_parse_images(self):
-        assert parse_permutation("[1, 0, 2]") == Permutation((1, 0, 2))
-
     def test_parse_cycles(self):
         p = parse_permutation("(0 1)(2 3)", degree=5)
         assert p.images == (1, 0, 3, 2, 4)
 
     def test_parse_rejects_garbage(self):
+        # a point in two cycles: not a bijection
         with pytest.raises(GroupFormatError):
-            parse_permutation("[0, 0, 1]")
+            parse_permutation("(0 1)(1 2)", 3)
 
 
 class TestClosure:
@@ -151,7 +150,7 @@ class TestCatalog:
                     for a, b, c in itertools.product(range(n), repeat=3)
                 ) and all(loop[0][a] == loop[a][0] == a for a in range(n))
                 try:
-                    FiniteGroup(n, loop).check_axioms()
+                    FiniteGroup(n, loop, ()).check_axioms()
                     light = True
                 except GroupFormatError:
                     light = False
@@ -165,7 +164,7 @@ class TestCatalog:
 
     def test_missing_inverse_rejected(self):
         # a row without the identity: reported on every read, never cached
-        g = FiniteGroup(2, ((0, 1), (1, 1)))
+        g = FiniteGroup(2, ((0, 1), (1, 1)), (1,))
         for _ in range(2):
             with pytest.raises(GroupFormatError, match="element 1"):
                 g.inv(0)
@@ -317,12 +316,13 @@ class TestDerivedSubgroup:
             ), spec
 
     def test_generator_less_table_file(self, tmp_path):
-        s4 = make_group("s4")
+        # the file names no generators; the group keeps the greedy set
+        # its associativity check verified
         path = tmp_path / "s4.grp"
-        rows = [" ".join(map(str, row)) for row in s4.table]
-        path.write_text("\n".join([f"order {s4.order}", *rows]) + "\n")
+        write_group_file(make_group("s4"), path)
         g = read_group_file(path)
-        assert g.generators is None
+        assert len(g.generators) <= math.log2(g.order)
+        assert len(enumerate_elements(regular_perm_group(g))) == g.order
         d = commutator_subgroup(g)
         assert len(d) == 12
         assert d == all_pairs_commutator_subgroup(g)
@@ -393,6 +393,24 @@ class TestGroupFiles:
         h = read_group_file(path)
         assert (h.order, h.table, h.identity) == (g.order, g.table, g.identity)
 
+    def test_trivial_group_has_empty_generators(self, tmp_path):
+        path = tmp_path / "z1.grp"
+        path.write_text("order 1\n0\n")
+        for g in (cyclic_group(1), read_group_file(path)):
+            assert g.generators == ()
+            assert regular_perm_group(g).generators == ()
+            assert commutator_subgroup(g) == frozenset({0})
+
+    @pytest.mark.parametrize("spec", ["z400", "elementary 2 8"])
+    def test_file_group_acts_by_at_most_log2_generators(self, tmp_path, spec):
+        # each greedy generator at least doubles the subgroup reached
+        g = make_group(spec)
+        path = tmp_path / "g.grp"
+        write_group_file(g, path)
+        h = read_group_file(path)
+        assert len(regular_perm_group(h).generators) <= math.log2(g.order)
+        assert len(enumerate_elements(regular_perm_group(h))) == g.order
+
     Z3 = "order 3\n0 1 2\n1 2 0\n2 0 1\n"
 
     @pytest.mark.parametrize(
@@ -459,7 +477,7 @@ class TestGroupFiles:
             read_group_file(path)
 
     def test_latin_check_on_columns(self):
-        g = FiniteGroup(2, ((0, 1), (0, 1)))
+        g = FiniteGroup(2, ((0, 1), (0, 1)), (1,))
         with pytest.raises(GroupFormatError, match="column 0"):
             g.check_latin()
         cyclic_group(5).check_latin()
