@@ -30,7 +30,7 @@ from .groups import ConjugacyClassing, FiniteGroup, conjugacy_classes
 PRECISION_BITS = 240
 
 
-class CharacterTableError(Exception):
+class CharacterTableError(ValueError):
     pass
 
 

@@ -1,10 +1,13 @@
 """Command-line entry point wiring all modules.  `reproduce` runs the J4
 targets of synchro.reproduce, which acceptance criteria 1-3 also call.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 missing
-external data, 4 resource exhausted (out of memory).  Primary outputs
-are deterministic JSON (sorted keys, no timestamps), so identical
-invocations produce byte-identical files.
+Each subcommand returns (payload, status) and records the files it reads
+with `_input`; `main` alone writes the output and the manifest and maps
+every failure to its exit code: 0 ok, 1 verification failure, 2 usage
+error (any ValueError or OSError), 3 missing external data, 4 resource
+exhausted (out of memory).  Primary outputs are deterministic JSON
+(sorted keys, no timestamps), so identical invocations produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import chartab, diagonal, groups, mapping, matrep, orbitals, witness
-from . import reproduce
+from . import __version__, chartab, diagonal, groups, mapping, matrep
+from . import orbitals, reproduce, witness
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -24,24 +27,27 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_RESOURCE = 4
 
-VERSION = "0.1.0"
+
+def _input(args, path) -> None:
+    """Record an input file for the manifest.  Its digest is taken now, as
+    the file is read, so a later --output or --emit-* write to the same
+    path cannot change it."""
+    if args.manifest and Path(path).is_file():
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        args.inputs[str(path)] = digest
 
 
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
-    if getattr(args, "manifest", None):
+    if args.manifest:
         manifest = {
             "command": " ".join(sys.argv[1:]),
-            "version": VERSION,
-            "inputs": {
-                str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
-                for p in getattr(args, "_input_paths", [])
-                if Path(p).is_file()
-            },
+            "version": __version__,
+            "inputs": args.inputs,
             "output_digest": hashlib.sha256(text.encode()).hexdigest(),
         }
         Path(args.manifest).write_text(
@@ -59,8 +65,7 @@ def _points(value, n: int, what: str) -> list[int]:
 
 def _load_group(spec: str, args) -> groups.FiniteGroup:
     g = groups.make_group(spec)
-    if Path(spec).is_file():
-        args._input_paths.append(spec)
+    _input(args, spec)
     return g
 
 
@@ -68,7 +73,7 @@ def _load_group(spec: str, args) -> groups.FiniteGroup:
 # subcommands
 
 
-def cmd_complete_mapping(args) -> int:
+def cmd_complete_mapping(args) -> tuple[dict, int]:
     g = _load_group(args.group, args)
     predicate = mapping.hall_paige_predicate(g)
     result = mapping.find_complete_mapping(g, budget=args.budget)
@@ -86,17 +91,15 @@ def cmd_complete_mapping(args) -> int:
                 json.dumps({"phi": list(result.mapping.phi)}, sort_keys=True)
                 + "\n"
             )
-    _emit(payload, args)
-    if result.status is mapping.SearchStatus.BUDGET_EXHAUSTED:
-        return EXIT_VERIFY
-    return EXIT_OK
+    exhausted = result.status is mapping.SearchStatus.BUDGET_EXHAUSTED
+    return payload, EXIT_VERIFY if exhausted else EXIT_OK
 
 
 def _diagonal_phi(args, T) -> mapping.CompleteMapping:
     if args.phi:
         data = json.loads(Path(args.phi).read_text())
-        args._input_paths.append(args.phi)
-        phi = data["phi"] if isinstance(data, dict) else None
+        _input(args, args.phi)
+        phi = data.get("phi") if isinstance(data, dict) else None
         phi = tuple(_points(phi, T.order, "the phi file's \"phi\""))
         if not mapping.verify_complete_mapping(T, phi):
             raise witness.WitnessError("supplied phi fails verification")
@@ -109,7 +112,7 @@ def _diagonal_phi(args, T) -> mapping.CompleteMapping:
     return result.mapping
 
 
-def cmd_diagonal(args) -> int:
+def cmd_diagonal(args) -> tuple[dict, int]:
     T = _load_group(args.group, args)
     spec = diagonal.DiagonalGraph(T, args.n)
     payload = {
@@ -155,11 +158,10 @@ def cmd_diagonal(args) -> int:
             json.dumps(cert, sort_keys=True) + "\n"
         )
         payload["witness_file"] = args.emit_witness
-    _emit(payload, args)
-    return status
+    return payload, status
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> tuple[dict, int]:
     needs = "P" if args.mode == "sync" else "B"
     if getattr(args, needs) is None:
         raise witness.WitnessError(f"witness {args.mode} needs --{needs}")
@@ -167,57 +169,49 @@ def cmd_witness(args) -> int:
     perm_g = groups.regular_perm_group(g)
     A = _points(json.loads(args.A), g.order, "--A")
     payload: dict = {"group": args.group, "mode": args.mode}
-    status = EXIT_OK
     if args.mode == "sync":
         P = json.loads(Path(args.P).read_text())
-        args._input_paths.append(args.P)
+        _input(args, args.P)
         if not isinstance(P, list):
             raise witness.WitnessError("--P must hold a JSON array of parts")
         P = [_points(part, g.order, "each part of --P") for part in P]
-        w = witness.make_sync_witness(A, P)
-        failure = witness.verify_sync_witness(perm_g, w)
+        failure = witness.verify_sync_witness(
+            perm_g, witness.make_sync_witness(A, P)
+        )
         payload["ok"] = failure is None
         if failure is not None:
             payload["failing_element"] = str(failure[0])
             payload["failing_part"] = sorted(failure[1])
-            status = EXIT_VERIFY
-    elif args.mode == "sep":
-        B = _points(json.loads(args.B), g.order, "--B")
-        w = witness.make_sep_witness(A, B, g.order)
+        return payload, EXIT_OK if failure is None else EXIT_VERIFY
+    # sep, factorise and pipeline all start from the sep witness (A, B).
+    # factorise transfers it unverified, as verifying costs an O(|G|^2)
+    # enumeration; the transfer itself refuses a non-witness (exit 2)
+    B = _points(json.loads(args.B), g.order, "--B")
+    w = witness.make_sep_witness(A, B, g.order)
+    if args.mode != "factorise":
         failure = witness.verify_sep_witness(perm_g, w)
         payload["ok"] = failure is None
         if failure is not None:
             payload["failing_element"] = str(failure)
-            status = EXIT_VERIFY
-    elif args.mode == "factorise":
-        B = _points(json.loads(args.B), g.order, "--B")
-        w = witness.make_sep_witness(A, B, g.order)
-        f = witness.witness_to_factorisation(g, w)
+            return payload, EXIT_VERIFY
+        if args.mode == "sep":
+            return payload, EXIT_OK
+    f = witness.witness_to_factorisation(g, w)
+    if args.mode == "factorise":
         payload["ok"] = True
         payload["A_inverse"] = sorted(f.A)
         payload["B"] = sorted(f.B)
-    elif args.mode == "pipeline":
-        B = _points(json.loads(args.B), g.order, "--B")
-        w = witness.make_sep_witness(A, B, g.order)
-        failure = witness.verify_sep_witness(perm_g, w)
-        if failure is not None:
-            payload["ok"] = False
-            payload["failing_element"] = str(failure)
-            _emit(payload, args)
-            return EXIT_VERIFY
-        f = witness.witness_to_factorisation(g, w)
-        parts = witness.factorisation_to_partition(f)
-        sw = witness.make_sync_witness(f.B, parts)
-        failure = witness.verify_sync_witness(perm_g, sw)
-        payload["ok"] = failure is None
-        payload["partition"] = [sorted(p) for p in parts]
-        if failure is not None:
-            status = EXIT_VERIFY
-    _emit(payload, args)
-    return status
+        return payload, EXIT_OK
+    parts = witness.factorisation_to_partition(f)
+    failure = witness.verify_sync_witness(
+        perm_g, witness.make_sync_witness(f.B, parts)
+    )
+    payload["ok"] = failure is None
+    payload["partition"] = [sorted(p) for p in parts]
+    return payload, EXIT_OK if failure is None else EXIT_VERIFY
 
 
-def cmd_orbitals(args) -> int:
+def cmd_orbitals(args) -> tuple[dict, int]:
     # every group is a multiplication table, acting right-regularly
     perm_g = groups.regular_perm_group(_load_group(args.group, args))
     dec = orbitals.orbital_decomposition(perm_g, args.base)
@@ -239,13 +233,12 @@ def cmd_orbitals(args) -> int:
         payload["double_coset_checks"] = orbitals.wilcox_check(
             mats, dec.pairing
         )
-    _emit(payload, args)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_matrep(args) -> int:
+def cmd_matrep(args) -> tuple[dict, int]:
     mats = matrep.parse_matrix_file(args.gens)
-    args._input_paths.append(args.gens)
+    _input(args, args.gens)
     if len(mats) < 2:
         raise matrep.MatrixError("generator file must contain two matrices")
     a, b = mats[0], mats[1]
@@ -269,19 +262,18 @@ def cmd_matrep(args) -> int:
         if not args.table:
             raise matrep.MatrixError("--collapsed requires --table")
         table = matrep.load_fingerprint_table(args.table)
-        args._input_paths.append(args.table)
+        _input(args, args.table)
         words = [o["rep_word"] for o in reproduce.orbital_metadata()]
         ca = matrep.collapsed_adjacency_matrep(
             a, b, words, table, args.collapsed - 1
         )
         payload["collapsed"] = [list(r) for r in ca.matrix]
-    _emit(payload, args)
-    return status
+    return payload, status
 
 
-def cmd_chartab(args) -> int:
+def cmd_chartab(args) -> tuple[dict, int]:
     t = chartab.load_character_table(args.table)
-    args._input_paths.append(args.table)
+    _input(args, args.table)
     payload: dict = {"table": args.table, "group_order": t.group_order}
     if args.xi:
         xi = chartab.structure_constant_xi(t, *args.xi)
@@ -296,15 +288,15 @@ def cmd_chartab(args) -> int:
             "classes": args.hat,
             "value": chartab.structure_constant_hat(t, *args.hat),
         }
-    _emit(payload, args)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> tuple[dict, int]:
     payload, inputs = reproduce.TARGETS[args.target](args.data_dir)
-    args._input_paths.extend(map(str, inputs))
-    _emit({"reproduces": args.target, **payload}, args)
-    return EXIT_OK if payload["ok"] else EXIT_VERIFY
+    for path in inputs:
+        _input(args, path)
+    status = EXIT_OK if payload["ok"] else EXIT_VERIFY
+    return {"reproduces": args.target, **payload}, status
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +387,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    args._input_paths = []
+    args.inputs = {}
     try:
-        return args.func(args)
+        payload, status = args.func(args)
+        _emit(payload, args)
+        return status
     except reproduce.DataMissing as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(
@@ -407,21 +401,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_DATA
-    except (
-        groups.GroupFormatError,
-        groups.SizeOverflowError,
-        witness.WitnessError,
-        diagonal.DiagonalError,
-        orbitals.OrbitalError,
-        matrep.MatrixError,
-        matrep.WordError,
-        matrep.UnknownOrbitalError,
-        chartab.CharacterTableError,
-        OSError,
-        json.JSONDecodeError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

@@ -27,7 +27,7 @@ from .mapping import CompleteMapping, verify_complete_mapping
 MAX_COLORED_VERTICES = 10**7
 
 
-class DiagonalError(Exception):
+class DiagonalError(ValueError):
     pass
 
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 
-class SizeOverflowError(Exception):
+class SizeOverflowError(ValueError):
     """Closure exceeded the requested element cap."""
 
 
-class GroupFormatError(Exception):
+class GroupFormatError(ValueError):
     """Malformed group descriptor, table file or permutation literal."""
 
 
@@ -257,7 +257,6 @@ class ConjugacyClassing:
     class_of: tuple[int, ...]
     representatives: tuple[int, ...]
     sizes: tuple[int, ...]
-    centralizer_orders: tuple[int, ...]
 
     @property
     def num_classes(self) -> int:
@@ -276,16 +275,13 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyClassing:
         raw.append(sorted(cls))
     raw.sort(key=lambda cls: (g.element_order(cls[0]), len(cls), cls[0]))
     class_of = [0] * n
-    reps, sizes, cents = [], [], []
+    reps, sizes = [], []
     for k, cls in enumerate(raw):
         for a in cls:
             class_of[a] = k
         reps.append(cls[0])
         sizes.append(len(cls))
-        cents.append(n // len(cls))
-    return ConjugacyClassing(
-        tuple(class_of), tuple(reps), tuple(sizes), tuple(cents)
-    )
+    return ConjugacyClassing(tuple(class_of), tuple(reps), tuple(sizes))
 
 
 def commutator_subgroup(g: FiniteGroup) -> frozenset[int]:

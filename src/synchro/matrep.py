@@ -64,15 +64,15 @@ from pathlib import Path
 from typing import NamedTuple
 
 
-class MatrixError(Exception):
+class MatrixError(ValueError):
     pass
 
 
-class WordError(Exception):
+class WordError(ValueError):
     pass
 
 
-class UnknownOrbitalError(Exception):
+class UnknownOrbitalError(ValueError):
     """A computed fingerprint is absent from the classification table;
     usually means wrong generators or the wrong representation."""
 
@@ -221,14 +221,16 @@ def parse_matrix_file(path) -> list[BitMatrix]:
                 lineno, line = next(rows_iter)
             except StopIteration:
                 raise MatrixError(f"{path}: truncated matrix data") from None
-            row = [int(t) for t in (line.split() if " " in line else line)]
+            row = line.split()
+            if len(row) == 1:  # packed digits
+                row = list(row[0])
             if len(row) != dim:
                 raise MatrixError(
                     f"{path}:{lineno}: expected {dim} entries, got {len(row)}"
                 )
-            if any(x not in (0, 1) for x in row):
+            if any(x not in ("0", "1") for x in row):
                 raise MatrixError(f"{path}:{lineno}: entry out of field range")
-            entries.append(row)
+            entries.append([int(x) for x in row])
         mats.append(BitMatrix.from_entries(2, entries))
     if next(rows_iter, None) is not None:
         raise MatrixError(f"{path}: trailing data after {nmats} matrices")

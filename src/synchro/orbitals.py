@@ -24,7 +24,7 @@ from operator import mul
 from .groups import PermGroup, Permutation
 
 
-class OrbitalError(Exception):
+class OrbitalError(ValueError):
     pass
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .groups import FiniteGroup, PermGroup, enumerate_elements
 
 
-class WitnessError(Exception):
+class WitnessError(ValueError):
     """A precondition or invariant of a witness object fails."""
 
 

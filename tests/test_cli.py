@@ -14,7 +14,8 @@ import pytest
 from conftest import write_group_file, write_matrix_file
 from hypothesis import given, settings, strategies as st
 
-from synchro import chartab, cli, groups, matrep, reproduce
+from synchro import chartab, cli, diagonal, groups, matrep, orbitals
+from synchro import reproduce, witness
 from synchro.chartab import bundled_table_path
 from synchro.matrep import BitMatrix, StandardGeneratorReport
 from synchro.orbitals import CollapsedAdjacency
@@ -492,7 +493,8 @@ class TestErrorPaths:
         assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "text", ["[0, 1, 2]", '{"phi": 5}', '{"phi": [0, "1", 2]}']
+        "text",
+        ["[0, 1, 2]", '{"phi": 5}', '{"phi": [0, "1", 2]}', '{"map": [0, 1, 2]}'],
     )
     def test_malformed_phi_file(self, capsys, tmp_path, text):
         phi = tmp_path / "phi.json"
@@ -504,6 +506,17 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert 'the phi file\'s "phi"' in err
+
+    @pytest.mark.parametrize("error", [
+        groups.GroupFormatError, groups.SizeOverflowError,
+        witness.WitnessError, diagonal.DiagonalError, orbitals.OrbitalError,
+        matrep.MatrixError, matrep.WordError, matrep.UnknownOrbitalError,
+        chartab.CharacterTableError,
+    ])
+    def test_package_errors_are_value_errors(self, error):
+        # cli.main maps exit 2 from ValueError and OSError alone
+        assert issubclass(error, ValueError)
 
     def test_directory_as_input_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "chartab", "--table", str(tmp_path))
@@ -588,6 +601,29 @@ class TestDeterminismAndManifest:
         assert str(phi_file) in m["inputs"]
         assert len(m["output_digest"]) == 64
         assert m["version"]
+
+    @pytest.mark.parametrize("overwrite", ["output", "emit-mapping"])
+    def test_manifest_digests_inputs_as_read(self, capsys, tmp_path, overwrite):
+        # the input file is overwritten by the run's own output; the
+        # manifest records the bytes that were read, not those written
+        manifest = tmp_path / "run.json"
+        if overwrite == "output":
+            source = tmp_path / "phi.json"
+            source.write_text(json.dumps({"phi": [0, 1, 2]}))
+            argv = ["--output", str(source), "--manifest", str(manifest),
+                    "diagonal", "--group", "z3", "--n", "3", "--color-odd",
+                    "--phi", str(source)]
+        else:
+            source = tmp_path / "z5.grp"
+            write_group_file(groups.make_group("z5"), source)
+            argv = ["--manifest", str(manifest), "complete-mapping",
+                    "--group", str(source), "--emit-mapping", str(source)]
+        before = hashlib.sha256(source.read_bytes()).hexdigest()
+        assert run(capsys, *argv)[0] == 0
+        assert hashlib.sha256(source.read_bytes()).hexdigest() != before
+        assert json.loads(manifest.read_text())["inputs"] == {
+            str(source): before
+        }
 
 
 PASSING = StandardGeneratorReport((("order(a)", 2, 2), ("order(b)", 4, 4)))

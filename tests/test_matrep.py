@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -182,6 +183,24 @@ class TestMatrixFiles:
         path = tmp_path / "short.txt"
         path.write_text("2 1 2 2\n10\n")
         with pytest.raises(MatrixError):
+            parse_matrix_file(path)
+
+    def test_row_separators_parse_equal(self, tmp_path):
+        rows = ["100", "011", "110"]
+        forms = {}
+        for name, sep in [("packed", ""), ("space", " "), ("tab", "\t")]:
+            path = tmp_path / f"{name}.txt"
+            path.write_text("2 1 3 3\n" + "\n".join(map(sep.join, rows)) + "\n")
+            forms[name] = parse_matrix_file(path)
+        assert forms["packed"] == forms["space"] == forms["tab"]
+        assert forms["tab"][0].entry(1, 2) == 1
+
+    @pytest.mark.parametrize("row", ["1\t2\t0", "120", "1 x 0", "1 +1 0"])
+    def test_entry_outside_f2_names_the_line(self, tmp_path, row):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 1 3 3\n100\n{row}\n001\n")
+        where = re.escape(f"{path}:3: entry out of field range")
+        with pytest.raises(MatrixError, match=where):
             parse_matrix_file(path)
 
 
