@@ -28,13 +28,14 @@ EXIT_DATA = 3
 EXIT_RESOURCE = 4
 
 
-def _input(args, path) -> None:
-    """Record an input file for the manifest.  Its digest is taken now, as
-    the file is read, so a later --output or --emit-* write to the same
-    path cannot change it."""
+def _input(args, path):
+    """Record an input file for the manifest and return its path, for the
+    caller to read now.  The digest is taken here, so a later --output or
+    --emit-* write to the same path cannot change it."""
     if args.manifest and Path(path).is_file():
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         args.inputs[str(path)] = digest
+    return path
 
 
 def _emit(payload: dict, args) -> None:
@@ -45,7 +46,7 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
     if args.manifest:
         manifest = {
-            "command": " ".join(sys.argv[1:]),
+            "command": " ".join(args.argv),
             "version": __version__,
             "inputs": args.inputs,
             "output_digest": hashlib.sha256(text.encode()).hexdigest(),
@@ -64,9 +65,10 @@ def _points(value, n: int, what: str) -> list[int]:
 
 
 def _load_group(spec: str, args) -> groups.FiniteGroup:
-    g = groups.make_group(spec)
-    _input(args, spec)
-    return g
+    # only the table files that make_group reads are inputs
+    return groups.make_group(
+        spec, lambda path: groups.read_group_file(_input(args, path))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +99,7 @@ def cmd_complete_mapping(args) -> tuple[dict, int]:
 
 def _diagonal_phi(args, T) -> mapping.CompleteMapping:
     if args.phi:
-        data = json.loads(Path(args.phi).read_text())
-        _input(args, args.phi)
+        data = json.loads(Path(_input(args, args.phi)).read_text())
         phi = data.get("phi") if isinstance(data, dict) else None
         phi = tuple(_points(phi, T.order, "the phi file's \"phi\""))
         if not mapping.verify_complete_mapping(T, phi):
@@ -170,8 +171,7 @@ def cmd_witness(args) -> tuple[dict, int]:
     A = _points(json.loads(args.A), g.order, "--A")
     payload: dict = {"group": args.group, "mode": args.mode}
     if args.mode == "sync":
-        P = json.loads(Path(args.P).read_text())
-        _input(args, args.P)
+        P = json.loads(Path(_input(args, args.P)).read_text())
         if not isinstance(P, list):
             raise witness.WitnessError("--P must hold a JSON array of parts")
         P = [_points(part, g.order, "each part of --P") for part in P]
@@ -237,8 +237,7 @@ def cmd_orbitals(args) -> tuple[dict, int]:
 
 
 def cmd_matrep(args) -> tuple[dict, int]:
-    mats = matrep.parse_matrix_file(args.gens)
-    _input(args, args.gens)
+    mats = matrep.parse_matrix_file(_input(args, args.gens))
     if len(mats) < 2:
         raise matrep.MatrixError("generator file must contain two matrices")
     a, b = mats[0], mats[1]
@@ -259,21 +258,13 @@ def cmd_matrep(args) -> tuple[dict, int]:
         y = matrep.eval_word(env, args.fingerprint[1])
         payload["fingerprint"] = list(matrep.fingerprint(x, y).as_tuple())
     if args.collapsed is not None:
-        if not args.table:
-            raise matrep.MatrixError("--collapsed requires --table")
-        table = matrep.load_fingerprint_table(args.table)
-        _input(args, args.table)
-        words = [o["rep_word"] for o in reproduce.orbital_metadata()]
-        ca = matrep.collapsed_adjacency_matrep(
-            a, b, words, table, args.collapsed - 1
-        )
-        payload["collapsed"] = [list(r) for r in ca.matrix]
+        m = reproduce.collapsed(a, b, args.collapsed - 1)
+        payload["collapsed"] = [list(r) for r in m]
     return payload, status
 
 
 def cmd_chartab(args) -> tuple[dict, int]:
-    t = chartab.load_character_table(args.table)
-    _input(args, args.table)
+    t = chartab.load_character_table(_input(args, args.table))
     payload: dict = {"table": args.table, "group_order": t.group_order}
     if args.xi:
         xi = chartab.structure_constant_xi(t, *args.xi)
@@ -356,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", required=True, help="matrix file with a, b")
     p.add_argument("--verify-standard", action="store_true")
     p.add_argument("--fingerprint", nargs=2, metavar=("WORD1", "WORD2"))
-    p.add_argument("--collapsed", type=int, help="orbital number (1-based)")
-    p.add_argument("--table", help="fingerprint classification table")
+    p.add_argument("--collapsed", type=int, help="J4 orbital number (1-based)")
     p.set_defaults(func=cmd_matrep)
 
     p = sub.add_parser("chartab", help="structure constants from a table")
@@ -382,12 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    args.inputs = {}
+    args.argv, args.inputs = argv, {}
     try:
         payload, status = args.func(args)
         _emit(payload, args)

@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,14 @@ def _check_order(order: int) -> None:
             f"group order above {math.isqrt(MAX_TABLE_ENTRIES)}: its table "
             f"would exceed {MAX_TABLE_ENTRIES} entries"
         )
+
+
+def _factorial(n: int) -> int:  # 20! passes any table bound
+    return math.factorial(min(n, 20))
+
+
+def _power(p: int, k: int) -> int:  # p^12 passes any table bound when p >= 2
+    return p ** min(max(k, 0), 12)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +387,7 @@ def dihedral_group(order: int) -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    # 20! passes any table bound; the cap keeps the factorial cheap
-    _check_order(math.factorial(min(n, 20)))
+    _check_order(_factorial(n))
     elements = [Permutation(p) for p in itertools.permutations(range(n))]
     gens = []
     if n >= 2:
@@ -390,7 +398,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def alternating_group(n: int) -> FiniteGroup:
-    _check_order(math.factorial(min(n, 20)) // 2)
+    _check_order(_factorial(n) // 2)
 
     def sign(p: Permutation) -> int:
         return (-1) ** sum(len(c) - 1 for c in p.cycles())
@@ -414,9 +422,7 @@ def alternating_group(n: int) -> FiniteGroup:
 def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
     if k < 0:
         raise GroupFormatError("elementary rank must be >= 0")
-    # p^k passes any table bound by k = 12 when p >= 2; the cap keeps the
-    # power cheap for a huge k
-    _check_order(p ** min(k, 12))
+    _check_order(_power(p, k))
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise GroupFormatError(f"{p} is not prime")
     elements = list(itertools.product(range(p), repeat=k))
@@ -501,40 +507,52 @@ def read_group_file(path) -> FiniteGroup:
     return FiniteGroup(n, table, unchecked.check_axioms(), ident)
 
 
-_FAMILIES = {
-    **dict.fromkeys(("cyclic", "c", "z"), cyclic_group),
-    **dict.fromkeys(("dihedral", "d"), dihedral_group),
-    **dict.fromkeys(("symmetric", "s"), symmetric_group),
-    **dict.fromkeys(("alternating", "a"), alternating_group),
+_FAMILIES = {  # name: (order from N, constructor)
+    **dict.fromkeys(("cyclic", "c", "z"), (int, cyclic_group)),
+    **dict.fromkeys(("dihedral", "d"), (int, dihedral_group)),
+    **dict.fromkeys(("symmetric", "s"), (_factorial, symmetric_group)),
+    **dict.fromkeys(("alternating", "a"),
+                    (lambda n: _factorial(n) // 2 or 1, alternating_group)),
 }
 
 
-def make_group(spec: str) -> FiniteGroup:
+def _factor(spec: str, read) -> tuple[int, Callable[[], FiniteGroup]]:
+    """(order, build) for one factor of a descriptor: the order is known
+    before any table is built, but a table file is read to learn it."""
+    words = spec.lower().split()
+    m = re.fullmatch(r"([a-z]+) ?(\d+)", " ".join(words))
+    if m and m[1] in _FAMILIES:
+        order, build = _FAMILIES[m[1]]
+        n = int(m[2])
+        return order(n), functools.partial(build, n)
+    if words[:1] == ["elementary"] and len(words) == 3:
+        p, k = int(words[1]), int(words[2])
+        return _power(p, k), functools.partial(elementary_abelian_group, p, k)
+    if words in (["klein"], ["v4"]):
+        return 4, functools.partial(elementary_abelian_group, 2, 2)
+    if words in (["quaternion8"], ["q8"]):
+        return 8, quaternion_group
+    if Path(spec).is_file():
+        g = read(spec)
+        return g.order, lambda: g
+    raise GroupFormatError(f"unknown group descriptor: {spec!r}")
+
+
+def make_group(spec: str, read=read_group_file) -> FiniteGroup:
     """Build a catalog group from a descriptor.
 
     Accepted, in any case and spacing: 'cyclic N' / 'zN' / 'cN',
     'dihedral N' / 'dN' (N = order), 'symmetric N' / 'sN', 'alternating
     N' / 'aN', 'elementary P K', 'klein' / 'v4', 'quaternion8' / 'q8',
-    direct products 'A x B', or a path to a table file.
+    direct products 'A x B', or a path to a table file, which
+    read(path) reads (read_group_file by default).  A catalog name
+    wins over a file of the same name.  The order of a product is
+    checked against the table bound before any catalog factor is built;
+    a table file is read first, to learn its order.
     """
-    spec = spec.strip()
-    if " x " in spec:
-        return functools.reduce(
-            direct_product, map(make_group, spec.split(" x "))
-        )
-    words = spec.lower().split()
-    m = re.fullmatch(r"([a-z]+) ?(\d+)", " ".join(words))
-    if m and m[1] in _FAMILIES:
-        return _FAMILIES[m[1]](int(m[2]))
-    if words[:1] == ["elementary"] and len(words) == 3:
-        return elementary_abelian_group(int(words[1]), int(words[2]))
-    if words in (["klein"], ["v4"]):
-        return elementary_abelian_group(2, 2)
-    if words in (["quaternion8"], ["q8"]):
-        return quaternion_group()
-    if Path(spec).is_file():
-        return read_group_file(spec)
-    raise GroupFormatError(f"unknown group descriptor: {spec!r}")
+    factors = [_factor(s.strip(), read) for s in spec.strip().split(" x ")]
+    _check_order(math.prod(order for order, _ in factors))
+    return functools.reduce(direct_product, (build() for _, build in factors))
 
 
 def regular_perm_group(g: FiniteGroup) -> PermGroup:

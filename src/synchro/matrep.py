@@ -529,33 +529,13 @@ def orbit_closure(seed: BitMatrix, conjugators) -> list[BitMatrix]:
 # collapsed adjacency via fingerprints
 
 
-def load_fingerprint_table(path) -> dict[tuple[int, int, int, int], int]:
-    """Fingerprint -> orbital index (0-based) classification table.
-    File rows: 'orbital d1 d2 d1p d2p' with 1-based orbital numbers;
-    '#' starts a comment."""
-    table: dict[tuple[int, int, int, int], int] = {}
-    for lineno, line in enumerate(Path(path).read_text().split("\n"), 1):
-        line = line.split("#")[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if len(toks) != 5:
-            raise MatrixError(f"{path}:{lineno}: expected 5 fields")
-        nr, d1, d2, d1p, d2p = map(int, toks)
-        key = (d1, d2, d1p, d2p)
-        if key in table:
-            raise MatrixError(f"{path}:{lineno}: duplicate fingerprint {key}")
-        table[key] = nr - 1
-    return table
-
-
 def collapsed_adjacency_matrep(
     a: BitMatrix,
     b: BitMatrix,
     rep_words,
     fingerprint_table: dict[tuple[int, int, int, int], int],
     i: int,
-    conjugators=None,
+    conjugators,
 ):
     """Collapsed adjacency matrix A_i for the conjugation action on the
     class of a, computed entirely inside the matrix representation.
@@ -564,33 +544,26 @@ def collapsed_adjacency_matrep(
     word); it is a BitMatrix or a word over standard_environment(a, b),
     which is built only when some entry is a word.  The orbit is closed
     under `conjugators`, which must generate the centralizer of a; each
-    is checked to commute with a.  They may be omitted only when every
-    entry is a word, and then J4's centralizer_generators(a, b) are
-    used.  The fingerprint table assigns each conjugate pair to its
-    orbital.  Unknown fingerprints raise UnknownOrbitalError; i out of
-    range or a conjugator outside the centralizer, MatrixError.
+    is checked to commute with a.  None is implied: for J4,
+    reproduce.collapsed passes the evaluated centralizer words.  The
+    fingerprint table assigns each conjugate pair to its orbital.
+    Unknown fingerprints raise UnknownOrbitalError; i out of range or a
+    conjugator outside the centralizer, MatrixError.
     """
     from .orbitals import CollapsedAdjacency
 
     rank = len(rep_words)
     if not 0 <= i < rank:
         raise MatrixError(f"no orbital {i} (0-based) in rank {rank}")
-    words = [w for w in rep_words if not isinstance(w, BitMatrix)]
-    if conjugators is None and len(words) < rank:
-        raise MatrixError(
-            "a BitMatrix representative needs explicit conjugators: the "
-            "centralizer words are J4's, for word representatives only"
-        )
-    for k, h in enumerate(conjugators or ()):
+    for k, h in enumerate(conjugators):
         if h * a != a * h:
             raise MatrixError(f"conjugator {k} does not commute with a")
+    words = [w for w in rep_words if not isinstance(w, BitMatrix)]
     env = standard_environment(a, b) if words else None
     reps = [
         w if isinstance(w, BitMatrix) else eval_word(env, w)
         for w in rep_words
     ]
-    if conjugators is None:
-        conjugators = centralizer_generators(a, b)
     inverses = [t.inverse() for t in reps]
     # fingerprint(a, t^-1 m t) = fingerprint(t a t^-1, m)
     row_data = [

@@ -106,24 +106,33 @@ def table2(a, b):
     return {"rows": rows, "ok": all(r["match"] for r in rows)}
 
 
-def _collapsed(a, b, name: str):
-    """The collapsed matrix "A2" or "A4", computed from a and b."""
-    words = [o["rep_word"] for o in orbital_metadata()]
-    table = matrep.load_fingerprint_table(DATA_DIR / "j4_fingerprint_table.txt")
-    i = int(name[1:]) - 1
-    return matrep.collapsed_adjacency_matrep(a, b, words, table, i).matrix
+def collapsed(a, b, i: int):
+    """The collapsed matrix A_{i+1} (i 0-based) from a and b, closed under
+    the centralizer words and classified by the metadata's fingerprints;
+    an index out of range is refused before any word is evaluated."""
+    meta = orbital_metadata()
+    table = {tuple(o["fingerprint"]): k for k, o in enumerate(meta)}
+    if len(table) < len(meta):
+        raise matrep.MatrixError("duplicate fingerprint in the orbital metadata")
+    if not 0 <= i < len(meta):
+        raise matrep.MatrixError(f"no orbital {i} (0-based) in rank {len(meta)}")
+    words = [o["rep_word"] for o in meta]
+    h = matrep.centralizer_generators(a, b)
+    return matrep.collapsed_adjacency_matrep(
+        a, b, words, table, i, conjugators=h
+    ).matrix
 
 
 def _against_print(name: str, a, b):
     """A2 or A4, bit-identical to the printed matrix."""
-    m = _collapsed(a, b, name)
+    m = collapsed(a, b, int(name[1:]) - 1)
     return {"matrix": [list(r) for r in m], "ok": m == printed_matrix(name)}
 
 
 @on_generators
 def entry_lists(a, b):
     """A2 and A4 as printed, then the double-coset entry lists."""
-    mats = {n: _collapsed(a, b, n) for n in ("A2", "A4")}
+    mats = {"A2": collapsed(a, b, 1), "A4": collapsed(a, b, 3)}
     differs = [n for n, m in mats.items() if m != printed_matrix(n)]
     if differs:
         return {"ok": False, "differs_from_printed": differs}

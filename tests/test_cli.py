@@ -310,19 +310,72 @@ class TestGroupFiles:
 
 class TestMatrep:
     @pytest.mark.parametrize("number", ["0", "21"])
-    def test_collapsed_out_of_range(self, capsys, tmp_path, number):
+    def test_collapsed_out_of_range(self, capsys, tmp_path, monkeypatch, number):
         gens = tmp_path / "gens.txt"
         swap = BitMatrix.from_entries(2, [[0, 1], [1, 0]])
         write_matrix_file([swap, BitMatrix.identity(2, 2)], gens)
-        table = tmp_path / "table.txt"
-        table.write_text("1 0 0 0 0\n")
+
+        def boom(a, b):
+            raise AssertionError("centralizer words evaluated")
+
+        monkeypatch.setattr(matrep, "centralizer_generators", boom)
         code, out, err = run(
-            capsys, "matrep", "--gens", str(gens), "--collapsed", number,
-            "--table", str(table),
+            capsys, "matrep", "--gens", str(gens), "--collapsed", number
         )
         assert code == 2
         assert out == ""
         assert err.startswith("error: no orbital") and err.count("\n") == 1
+
+    def test_duplicate_metadata_fingerprints_exit_2(
+        self, capsys, tmp_path, j4_stubs, monkeypatch
+    ):
+        meta = reproduce.orbital_metadata()
+        meta[2]["fingerprint"] = meta[5]["fingerprint"]
+        monkeypatch.setattr(reproduce, "orbital_metadata", lambda: meta)
+        gens = tmp_path / reproduce.GENS_FILE
+        code, out, err = run(
+            capsys, "matrep", "--gens", str(gens), "--collapsed", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: duplicate fingerprint")
+        assert j4_stubs.calls == []
+
+    def test_collapsed_runs_the_reproduce_pipeline(
+        self, capsys, tmp_path, j4_stubs
+    ):
+        gens = tmp_path / reproduce.GENS_FILE
+        code, out, _ = run(
+            capsys, "matrep", "--gens", str(gens), "--collapsed", "2"
+        )
+        assert code == 0
+        printed = [list(r) for r in reproduce.printed_matrix("A2")]
+        assert json.loads(out)["collapsed"] == printed
+        code, payload = reproduce_in(capsys, tmp_path, "A2")
+        assert code == 0 and payload["matrix"] == printed
+        assert len(j4_stubs.calls) == 2
+        assert j4_stubs.calls[0] == j4_stubs.calls[1]
+        words, table, i, conjugators = j4_stubs.calls[0]
+        meta = reproduce.orbital_metadata()
+        assert words == [o["rep_word"] for o in meta]
+        assert i == 1 and conjugators == j4_stubs.centralizer
+
+    def test_table_comes_from_the_orbital_metadata(
+        self, capsys, tmp_path, j4_stubs
+    ):
+        assert reproduce_in(capsys, tmp_path, "A4")[0] == 0
+        (_, table, i, _), = j4_stubs.calls
+        assert i == 3 and len(table) == 20
+        assert table[(72, 16, 50, 50)] == 1
+
+    def test_table_flag_is_gone(self, capsys, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text("1 50 0 50 50\n")
+        code, out, err = run(
+            capsys, "matrep", "--gens", str(tmp_path / "gens.txt"),
+            "--collapsed", "2", "--table", str(table),
+        )
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --table" in err
 
     def test_odd_characteristic_file_exits_2(self, capsys, tmp_path):
         gens = tmp_path / "gens.txt"
@@ -602,6 +655,42 @@ class TestDeterminismAndManifest:
         assert len(m["output_digest"]) == 64
         assert m["version"]
 
+    def test_manifest_command_is_the_argv_given(self, capsys, tmp_path):
+        manifest = tmp_path / "run.json"
+        argv = ["--manifest", str(manifest), "complete-mapping",
+                "--group", "z5"]
+        assert run(capsys, *argv)[0] == 0
+        assert json.loads(manifest.read_text())["command"] == " ".join(argv)
+
+    def test_manifest_records_every_factor_file(self, capsys, tmp_path):
+        manifest = tmp_path / "run.json"
+        files = {}
+        for name, spec in (("a.grp", "z3"), ("b.grp", "klein")):
+            files[str(tmp_path / name)] = groups.make_group(spec)
+            write_group_file(files[str(tmp_path / name)], tmp_path / name)
+        code, out, _ = run(
+            capsys, "--manifest", str(manifest), "complete-mapping",
+            "--group", " x ".join(files),
+        )
+        assert code == 0 and json.loads(out)["order"] == 12
+        assert json.loads(manifest.read_text())["inputs"] == {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for path in files
+        }
+
+    def test_manifest_skips_a_file_named_like_a_catalog_group(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the catalog wins over a file of the same name, which is not read
+        monkeypatch.chdir(tmp_path)
+        write_group_file(groups.make_group("z5"), tmp_path / "z3")
+        code, out, _ = run(
+            capsys, "--manifest", "run.json", "complete-mapping",
+            "--group", "z3",
+        )
+        assert code == 0 and json.loads(out)["order"] == 3
+        assert json.loads((tmp_path / "run.json").read_text())["inputs"] == {}
+
     @pytest.mark.parametrize("overwrite", ["output", "emit-mapping"])
     def test_manifest_digests_inputs_as_read(self, capsys, tmp_path, overwrite):
         # the input file is overwritten by the run's own output; the
@@ -633,26 +722,31 @@ FAILING = StandardGeneratorReport((("order(a)", 2, 2), ("order(ab)", 37, 5)))
 @pytest.fixture
 def j4_stubs(monkeypatch, tmp_path):
     """An empty placeholder generator file in tmp_path.  Parsing it, the
-    standard-generator checks and the collapsed matrices are stubbed:
-    orbitals 2 and 4 come out as the printed A2 and A4."""
+    standard-generator checks, the centralizer words and the collapsed
+    matrices are stubbed: orbitals 2 and 4 come out as the printed A2 and
+    A4, and each call's words, table, index and conjugators are kept."""
     (tmp_path / reproduce.GENS_FILE).write_bytes(b"")
+    placeholder = BitMatrix.identity(2, 2)
     state = SimpleNamespace(
         report=PASSING,
         matrices={1: reproduce.printed_matrix("A2"),
                   3: reproduce.printed_matrix("A4")},
+        centralizer=(BitMatrix.identity(2, 3),),  # told apart from a, b
         calls=[],
     )
 
-    def collapsed(a, b, words, table, i, conjugators=None):
-        state.calls.append(i)
+    def collapsed(a, b, words, table, i, conjugators):
+        state.calls.append((words, table, i, conjugators))
         return CollapsedAdjacency(i, state.matrices[i])
 
-    placeholder = BitMatrix.identity(2, 2)
     monkeypatch.setattr(
         matrep, "parse_matrix_file", lambda path: [placeholder] * 2
     )
     monkeypatch.setattr(
         matrep, "verify_standard_generators", lambda a, b: state.report
+    )
+    monkeypatch.setattr(
+        matrep, "centralizer_generators", lambda a, b: state.centralizer
     )
     monkeypatch.setattr(matrep, "collapsed_adjacency_matrep", collapsed)
     return state
@@ -691,7 +785,7 @@ class TestReproducePipeline:
         want = reproduce.expected("square_entries")
         assert payload["inverse_in_square"] == want["inverse_in_square"]
         assert payload["self_in_square"] == want["self_in_square"]
-        assert sorted(j4_stubs.calls) == [1, 3]
+        assert sorted(i for _, _, i, _ in j4_stubs.calls) == [1, 3]
 
     @pytest.mark.parametrize("target", ["A2", "entry-lists"])
     def test_swapped_a2_entry_fails(self, capsys, tmp_path, j4_stubs, target):
@@ -817,7 +911,6 @@ def fuzz_files(tmp_path_factory):
         "badparts.json": '[["a"]]',
         "f3.txt": "3 2 2 2\n12\n01\n10\n01\n",
         "truncated.txt": "2 2 4 4\n0100\n",
-        "fptable.txt": "1 2 3\n",
         "hostile.json": json.dumps({
             **json.loads(bundled_table_path("z2").read_text()),
             "characters": [[1, 1], [1, "__import__('os').getpid() and -1"]],
@@ -914,10 +1007,6 @@ def cli_argv(draw, d):
             words |= st.text(WORD_CHARS, max_size=8)
             argv += ["--fingerprint", draw(words), draw(words)]
         argv += opt("--collapsed", st.integers(1, 20), [-1, 0, 21], 3)
-        argv += opt(
-            "--table", [str(reproduce.DATA_DIR / "j4_fingerprint_table.txt")],
-            no_file + files("fptable.txt"), 2,
-        )
     elif command == "chartab":
         tables = [str(bundled_table_path(n)) for n in ("s3", "a4", "z2")]
         argv += opt("--table", tables, no_file + files(

@@ -215,6 +215,18 @@ class TestCatalog:
             make_group(spec)
 
     @pytest.mark.parametrize(
+        "spec", ["z1500 x z1500", "a7 x z2", "klein x s6 x d4"]
+    )
+    def test_product_bound_before_any_factor_is_built(self, spec, monkeypatch):
+        # each factor passes the bound alone; their product does not
+        def build(*args):
+            raise AssertionError("a factor's table was built")
+
+        monkeypatch.setattr(groups, "_from_elements", build)
+        with pytest.raises(GroupFormatError, match="table would exceed"):
+            make_group(spec)
+
+    @pytest.mark.parametrize(
         "spec", ["elementary 2 -1", "elementary 1" + "0" * 400 + " -1"],
         ids=["p=2", "p=10^400"],
     )

@@ -22,7 +22,6 @@ from synchro.matrep import (
     collapsed_adjacency_matrep,
     eval_word,
     fingerprint,
-    load_fingerprint_table,
     orbit_closure,
     parse_matrix_file,
     standard_environment,
@@ -527,27 +526,6 @@ class TestOrbitClosure:
         ]
 
 
-class TestFingerprintTableFile:
-    def test_parse(self, tmp_path):
-        path = tmp_path / "fp.txt"
-        path.write_text("# comment\n1 50 0 50 50\n2 72 16 50 50\n")
-        table = load_fingerprint_table(path)
-        assert table[(50, 0, 50, 50)] == 0
-        assert table[(72, 16, 50, 50)] == 1
-
-    def test_duplicate_rejected(self, tmp_path):
-        path = tmp_path / "fp.txt"
-        path.write_text("1 1 1 1 1\n2 1 1 1 1\n")
-        with pytest.raises(MatrixError):
-            load_fingerprint_table(path)
-
-    def test_field_count(self, tmp_path):
-        path = tmp_path / "fp.txt"
-        path.write_text("1 2 3\n")
-        with pytest.raises(MatrixError):
-            load_fingerprint_table(path)
-
-
 # ---------------------------------------------------------------------------
 # cross-validation of the matrix-representation code path against the
 # permutation code path, on S5 acting by conjugation on its 10
@@ -662,20 +640,6 @@ class TestMatrepCrossValidation:
         monkeypatch.setattr(matrep, "standard_environment", boom)
         ca = collapsed_adjacency_matrep(a, b, reps, table, 1, conjugators=centralizer)
         assert ca.matrix == collapsed_adjacency(action, dec, 1).matrix
-
-    @pytest.mark.parametrize("mixed", [False, True])
-    def test_matrix_reps_need_conjugators(self, s5_setup, monkeypatch, mixed):
-        _, dec, a, b, reps, table, _ = s5_setup
-
-        def boom(*args):
-            raise AssertionError("J4 centralizer words evaluated")
-
-        monkeypatch.setattr(matrep, "centralizer_generators", boom)
-        monkeypatch.setattr(matrep, "_orbit", boom)
-        if mixed:  # one matrix among words is enough
-            reps = [""] + reps[1:]
-        with pytest.raises(MatrixError, match="needs explicit conjugators"):
-            collapsed_adjacency_matrep(a, b, reps, table, 1)
 
     def test_conjugator_outside_centralizer_rejected(self, s5_setup, monkeypatch):
         _, dec, a, b, reps, table, centralizer = s5_setup
