@@ -7,9 +7,32 @@ one-argument sqrt and exp), e.g. "(1+sqrt(5))/2" or "exp(2*pi*I/3)".
 Strings are evaluated in high-precision complex arithmetic by a walk
 over their syntax tree, nothing else, and no subexpression may exceed
 2^PRECISION_BITS in absolute value.  Both parts of an [re, im] pair
-must be real, up to 2^-(PRECISION_BITS/2).  Triple counts are exact
-integers rounded with an explicit integrality guard; xi = count / |G|.
+must be real, up to 2^-(PRECISION_BITS/2).  Each degree chi(1) must be
+a positive integer to the same tolerance.
 A brute-force counter over an explicit group is the formulas' oracle.
+
+Structure constants are exact integer arithmetic.  At load each value
+chi(g) is rounded once to the Gaussian integer x nearest chi(g) * 2^P,
+P = PRECISION_BITS = 240, and each degree is kept as an int.  The
+count of n-tuples with product 1 is K * sum_chi prod_i chi(g_i) /
+chi(1)^(n-2), K = |G|^(n-1) / prod_i |C(g_i)|; with L the lcm of the
+chi(1)^(n-2), the sum is formed exactly as sum_chi prod_i x_i *
+(L / chi(1)^(n-2)) over L * 2^(nP), scaled by K as one rational, and
+rounded once, behind a realness and an integrality guard (both 1e-3);
+xi = count / |G|.  The load's rounding is the only inexact step.
+
+Error bound.  Let every stored x / 2^P be within delta of the true
+chi(g) (the rounding adds at most 2^-P / sqrt(2) to a parse error of a
+few units in the last of P bits, so delta <= 2^-(P-8) M is generous),
+M >= 1 the largest |chi(g)| and k the number of characters.  Each
+product of n values is then off by at most n delta (M + delta)^(n-1),
+the division by chi(1)^(n-2) >= 1 does not enlarge it, and so the
+constant is off by at most K k n delta (M + delta)^(n-1), about
+K k n M^n 2^-(P-8).  For the bundled tables (|G| <= 60, M <= 5, k <= 5,
+n <= 4, so K <= 60^3) that is below 2^-190.  For J4's xi(2A, 2A, C)
+(n = 3, K <= (|G| / |C(2A)|)^2 < 2^64, k = 62, M^2 <= |G| < 2^67) it
+is below 2^-55.  Both guards sit at 1e-3, so a correct table never
+trips them: they fire only on a table that is not a character table.
 """
 
 from __future__ import annotations
@@ -47,6 +70,10 @@ class CharacterTable:
     group_order: int
     classes: tuple[ClassInfo, ...]
     characters: tuple[tuple[mpmath.mpc, ...], ...]
+    # derived at load: each value as the Gaussian integer (re, im)
+    # nearest value * 2^PRECISION_BITS, and each degree chi(1) as an int
+    values: tuple[tuple[tuple[int, int], ...], ...]
+    degrees: tuple[int, ...]
 
     def class_index(self, name: str) -> int:
         for i, c in enumerate(self.classes):
@@ -130,6 +157,13 @@ def _validated_table(data, path) -> CharacterTable:
         )
         for c in data["classes"]
     )
+    numbers = [order]
+    for c in classes:
+        numbers += [c.size, c.centralizer_order, c.element_order]
+    if not all(type(x) is int and x > 0 for x in numbers):
+        raise CharacterTableError(
+            f"{path}: group order and class data must be positive integers"
+        )
     if sum(c.size for c in classes) != order:
         raise CharacterTableError(
             f"{path}: class sizes sum to "
@@ -147,6 +181,7 @@ def _validated_table(data, path) -> CharacterTable:
     characters = tuple(
         tuple(_parse_value(v) for v in row) for row in data["characters"]
     )
+    degrees = []
     for ri, row in enumerate(characters):
         if len(row) != len(classes):
             raise CharacterTableError(
@@ -161,31 +196,56 @@ def _validated_table(data, path) -> CharacterTable:
                 f"{path}: character row {ri} fails <chi,chi> = 1 "
                 f"(got {mpmath.nstr(norm / order, 10)})"
             )
-    return CharacterTable(order, classes, characters)
+        degrees.append(int(mpmath.nint(row[0].real)))
+        if degrees[-1] < 1 or abs(row[0] - degrees[-1]) > _REAL_TOLERANCE:
+            raise CharacterTableError(
+                f"{path}: character row {ri} has degree "
+                f"{mpmath.nstr(row[0], 10)}, not a positive integer"
+            )
+    values = tuple(tuple(map(_scaled, row)) for row in characters)
+    return CharacterTable(order, classes, characters, values, tuple(degrees))
+
+
+def _scaled(v: mpmath.mpc) -> tuple[int, int]:
+    return tuple(
+        int(mpmath.nint(mpmath.ldexp(part, PRECISION_BITS)))
+        for part in (v.real, v.imag)
+    )
 
 
 def structure_constant_hat(t: CharacterTable, *class_names: str) -> int:
     """Number of tuples (x_1,...,x_n), x_i in the i-th class, with
     product 1: |G|^(n-1) / prod |C(g_i)| * sum_chi prod chi(g_i) /
-    chi(1)^(n-2), rounded with an integrality guard."""
+    chi(1)^(n-2), in exact integers from the values rounded at load,
+    rounded once with a realness and an integrality guard."""
     n = len(class_names)
     if n < 2:
         raise CharacterTableError("need at least two classes")
-    with mpmath.workprec(PRECISION_BITS):
-        idxs = [t.class_index(name) for name in class_names]
-        total = mpmath.mpc(0)
-        for row in t.characters:
-            total += math.prod(row[i] for i in idxs) / row[0] ** (n - 2)
-        cent = math.prod(t.classes[i].centralizer_order for i in idxs)
-        value = mpmath.mpf(t.group_order) ** (n - 1) / cent * total
-        if abs(value.imag) > 1e-3:
-            raise CharacterTableError(f"non-real structure constant {value}")
-        nearest = int(mpmath.nint(value.real))
-        if abs(value.real - nearest) > 1e-3:
-            raise CharacterTableError(
-                f"value {mpmath.nstr(value.real, 20)} is not near an integer"
-            )
-        return nearest
+    idxs = [t.class_index(name) for name in class_names]
+    lcm = math.lcm(*t.degrees)
+    total_re = total_im = 0
+    for row, degree in zip(t.values, t.degrees):
+        re, im = (lcm // degree) ** (n - 2), 0
+        for i in idxs:
+            x, y = row[i]
+            re, im = re * x - im * y, re * y + im * x
+        total_re += re
+        total_im += im
+    # the constant is (re + i im) / den, exactly
+    order = t.group_order ** (n - 1)
+    re, im = order * total_re, order * total_im
+    cent = math.prod(t.classes[i].centralizer_order for i in idxs)
+    den = (cent * lcm ** (n - 2)) << (n * PRECISION_BITS)
+    if 1000 * abs(im) > den:
+        raise CharacterTableError(
+            f"non-real structure constant {complex(re / den, im / den)}"
+        )
+    nearest = (2 * re + den) // (2 * den)
+    if 1000 * abs(re - nearest * den) > den:
+        raise CharacterTableError(
+            f"value {re / den:.20g} is not near an integer"
+        )
+    return nearest
 
 
 def structure_constant_xi(t: CharacterTable, c1: str, c2: str, c3: str):

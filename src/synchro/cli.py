@@ -241,9 +241,13 @@ def cmd_matrep(args) -> tuple[dict, int]:
     if len(mats) < 2:
         raise matrep.MatrixError("generator file must contain two matrices")
     a, b = mats[0], mats[1]
+    collapse = None
+    if args.collapsed is not None:
+        collapse = reproduce.collapsed(args.collapsed - 1)
     payload: dict = {"gens": args.gens, "dim": a.dim, "p": a.p}
     status = EXIT_OK
-    if args.verify_standard:
+    # a collapsed matrix, like reproduce A2, needs the order checks first
+    if args.verify_standard or collapse:
         report = matrep.verify_standard_generators(a, b)
         payload["checks"] = [
             {"check": w, "expected": e, "actual": x}
@@ -257,9 +261,8 @@ def cmd_matrep(args) -> tuple[dict, int]:
         x = matrep.eval_word(env, args.fingerprint[0])
         y = matrep.eval_word(env, args.fingerprint[1])
         payload["fingerprint"] = list(matrep.fingerprint(x, y).as_tuple())
-    if args.collapsed is not None:
-        m = reproduce.collapsed(a, b, args.collapsed - 1)
-        payload["collapsed"] = [list(r) for r in m]
+    if collapse and report.passed:
+        payload["collapsed"] = [list(r) for r in collapse(a, b)]
     return payload, status
 
 

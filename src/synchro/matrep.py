@@ -147,20 +147,22 @@ class BitMatrix:
         )
 
     def inverse(self) -> "BitMatrix":
-        """Gauss-Jordan on packed [work | aug] rows: the work row in the
-        low dim bits, the augmented identity row above it."""
+        """Eliminate the rows (r_i << n) | 1 << i in a pivot list: row i
+        of the inverse is the low half of the reduced pivot whose high
+        half is 1 << i."""
         n = self.dim
-        rows = [r | 1 << (n + i) for i, r in enumerate(self.rows)]
-        for col in range(n):
-            bit = 1 << col
-            piv = next((i for i in range(col, n) if rows[i] & bit), None)
-            if piv is None:
-                raise MatrixError("matrix is singular")
-            prow = rows[piv]
-            rows[piv] = rows[col]
-            rows = [r ^ prow if r & bit else r for r in rows]
-            rows[col] = prow
-        return BitMatrix(2, n, [r >> n for r in rows])
+        pivots = [0] * (2 * n + 1)
+        rows = ((r << n) | 1 << i for i, r in enumerate(self.rows))
+        if _insert(pivots, rows, n) < n:
+            raise MatrixError("matrix is singular")
+        high = pivots[n + 1:]
+        for k in range(n):
+            bit = 1 << (n + k)
+            for j in range(k + 1, n):
+                if high[j] & bit:
+                    high[j] ^= high[k]
+        mask = (1 << n) - 1
+        return BitMatrix(2, n, [r & mask for r in high])
 
     def conjugate_by(self, g: "BitMatrix") -> "BitMatrix":
         return g.inverse() * self * g

@@ -106,10 +106,11 @@ def table2(a, b):
     return {"rows": rows, "ok": all(r["match"] for r in rows)}
 
 
-def collapsed(a, b, i: int):
-    """The collapsed matrix A_{i+1} (i 0-based) from a and b, closed under
-    the centralizer words and classified by the metadata's fingerprints;
-    an index out of range is refused before any word is evaluated."""
+def collapsed(i: int):
+    """The function (a, b) -> collapsed matrix A_{i+1} (i 0-based), closed
+    under the centralizer words and classified by the metadata's
+    fingerprints; duplicate fingerprints and an index out of range are
+    refused here, before any word is evaluated."""
     meta = orbital_metadata()
     table = {tuple(o["fingerprint"]): k for k, o in enumerate(meta)}
     if len(table) < len(meta):
@@ -117,22 +118,26 @@ def collapsed(a, b, i: int):
     if not 0 <= i < len(meta):
         raise matrep.MatrixError(f"no orbital {i} (0-based) in rank {len(meta)}")
     words = [o["rep_word"] for o in meta]
-    h = matrep.centralizer_generators(a, b)
-    return matrep.collapsed_adjacency_matrep(
-        a, b, words, table, i, conjugators=h
-    ).matrix
+
+    def compute(a, b):
+        h = matrep.centralizer_generators(a, b)
+        return matrep.collapsed_adjacency_matrep(
+            a, b, words, table, i, conjugators=h
+        ).matrix
+
+    return compute
 
 
 def _against_print(name: str, a, b):
     """A2 or A4, bit-identical to the printed matrix."""
-    m = collapsed(a, b, int(name[1:]) - 1)
+    m = collapsed(int(name[1:]) - 1)(a, b)
     return {"matrix": [list(r) for r in m], "ok": m == printed_matrix(name)}
 
 
 @on_generators
 def entry_lists(a, b):
     """A2 and A4 as printed, then the double-coset entry lists."""
-    mats = {"A2": collapsed(a, b, 1), "A4": collapsed(a, b, 3)}
+    mats = {"A2": collapsed(1)(a, b), "A4": collapsed(3)(a, b)}
     differs = [n for n, m in mats.items() if m != printed_matrix(n)]
     if differs:
         return {"ok": False, "differs_from_printed": differs}

@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,9 +21,38 @@ from synchro.chartab import (
     structure_constant_hat,
     structure_constant_xi,
 )
-from synchro.groups import make_group
+from synchro.groups import conjugacy_classes, make_group
 
 BUNDLED = ["z2", "s3", "d8", "a4", "s4", "a5"]
+
+
+def s3_with_sign_row(tmp_path, row):
+    """The bundled s3 table with its sign row [1, -1, 1] replaced."""
+    data = json.loads(bundled_table_path("s3").read_text())
+    assert data["characters"][1] == [1, -1, 1]
+    data["characters"][1] = row
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def brute_force_count(g, t, names):
+    """#{(x_1,...,x_n), x_i in the class named names[i] : x_1...x_n = 1}."""
+    classing = conjugacy_classes(g)
+    mapping = match_classes(t, classing, g)
+    members = [
+        [x for x in range(g.order)
+         if classing.class_of[x] == mapping[t.class_index(name)]]
+        for name in names
+    ]
+    last = set(members[-1])
+    count = 0
+    for xs in itertools.product(*members[:-1]):
+        product = g.identity
+        for x in xs:
+            product = g.mul(product, x)
+        count += g.inverses[product] in last
+    return count
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +95,38 @@ class TestLoading:
         path.write_text(json.dumps(data))
         with pytest.raises(CharacterTableError):
             load_character_table(path)
+
+    def test_non_integral_degree_refused(self, tmp_path):
+        # <chi, chi> = (2 + 3 * 4/3 + 0) / 6 = 1, so only the degree check
+        # refuses this row
+        path = s3_with_sign_row(tmp_path, ["sqrt(2)", "sqrt(4/3)", 0])
+        with pytest.raises(CharacterTableError, match="positive integer"):
+            load_character_table(path)
+
+    @pytest.mark.parametrize(
+        "key, value", [("group_order", 6.0), ("size", 3.0), ("size", True)]
+    )
+    def test_class_data_must_be_integers(self, tmp_path, key, value):
+        data = json.loads(bundled_table_path("s3").read_text())
+        if key == "group_order":
+            data[key] = value
+        else:
+            data["classes"][1][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(CharacterTableError, match="positive integers"):
+            load_character_table(path)
+
+    def test_values_held_as_scaled_gaussian_integers(self):
+        t = load_character_table(bundled_table_path("a5"))
+        assert t.degrees == (1, 3, 3, 4, 5)
+        one = 1 << chartab.PRECISION_BITS
+        zero = (0, 0)
+        assert t.values[4] == ((5 * one, 0), (one, 0), (-one, 0), zero, zero)
+        golden = t.values[1][t.class_index("5a")]
+        with mpmath.workprec(300):
+            exact = (1 + mpmath.sqrt(5)) / 2 * one
+            assert golden[1] == 0 and abs(golden[0] - exact) <= 0.5
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -175,26 +238,55 @@ class TestSpotValues:
         with pytest.raises(CharacterTableError):
             structure_constant_hat(s3_table, "2a", "9z")
 
-    def test_higher_arity(self, s3_table):
-        # quadruples of transpositions multiplying to 1
-        count = structure_constant_hat(s3_table, "2a", "2a", "2a", "2a")
-        g = make_group("s3")
-        invs = [x for x in range(6) if g.element_order(x) == 2]
-        brute = sum(
-            1
-            for a in invs
-            for b in invs
-            for c in invs
-            if g.mul(g.mul(a, b), c) in invs
-        )
-        assert count == brute
+    def test_higher_arity(self):
+        # tuples from the named classes multiplying to 1; a5's 5a and 5b
+        # values are irrational
+        for name, names in [
+            ("s3", ["2a", "2a", "2a", "2a"]),
+            ("a5", ["5a", "5b"]),
+            ("a5", ["5a", "5a"]),
+            ("a5", ["2a", "2a"]),
+            ("a5", ["5a", "5a", "5b", "3a"]),
+            ("a5", ["2a", "3a", "5a", "5b"]),
+            ("a5", ["5b", "5b", "5b", "5b"]),
+        ]:
+            t = load_character_table(bundled_table_path(name))
+            brute = brute_force_count(make_group(name), t, names)
+            assert structure_constant_hat(t, *names) == brute, (name, names)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [([1, "sqrt(5/3)", 0], "is not near an integer"),
+         ([1, "I", 1], "^non-real structure constant")],
+        ids=["irrational", "non-real"],
+    )
+    def test_guards_fire_on_a_table_that_is_not_a_character_table(
+        self, tmp_path, row, message
+    ):
+        # the row has norm 1, so it loads; the guards refuse what follows
+        t = load_character_table(s3_with_sign_row(tmp_path, row))
+        names = [c.name for c in t.classes]
+        errors = []
+        for triple in itertools.product(names, repeat=3):
+            try:
+                structure_constant_hat(t, *triple)
+            except CharacterTableError as exc:
+                errors.append(str(exc))
+        assert any(re.search(message, e) for e in errors), errors
 
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("name", ["s3", "d8", "a4", "s4", "a5"])
-    def test_formula_matches_brute_force(self, name):
+    def test_formula_matches_brute_force(self, name, monkeypatch):
         g = make_group(name)
         t = load_character_table(bundled_table_path(name))
+
+        # mpmath parses and norm-checks at load; no constant touches it
+        class NoMpmath:
+            def __getattr__(self, attr):
+                raise AssertionError(f"mpmath.{attr} used after load")
+
+        monkeypatch.setattr(chartab, "mpmath", NoMpmath())
         table, classing = brute_force_structure_constants(g)
         mapping = match_classes(t, classing, g)
         k = len(t.classes)

@@ -326,6 +326,28 @@ class TestMatrep:
         assert out == ""
         assert err.startswith("error: no orbital") and err.count("\n") == 1
 
+    def test_collapsed_runs_the_order_checks_first(self, capsys, tmp_path):
+        # a pair of 4x4 permutation matrices with o(ab) = 2: J4's words
+        # are never evaluated on it, as in reproduce A2
+        def perm(images):
+            return BitMatrix(2, 4, [1 << j for j in images])
+
+        gens = tmp_path / reproduce.GENS_FILE
+        write_matrix_file([perm([1, 0, 2, 3]), perm([0, 1, 3, 2])], gens)
+        code, out, err = run(
+            capsys, "matrep", "--gens", str(gens), "--collapsed", "2"
+        )
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert payload["ok"] is False and "collapsed" not in payload
+        checks = {c["check"]: c["actual"] for c in payload["checks"]}
+        assert checks["order(ab)"] == 2
+        code, report = reproduce_in(capsys, tmp_path, "A2")
+        assert (code, report["ok"]) == (1, False)
+        assert report["standard_generators"] == [
+            [c["check"], c["expected"], c["actual"]] for c in payload["checks"]
+        ]
+
     def test_duplicate_metadata_fingerprints_exit_2(
         self, capsys, tmp_path, j4_stubs, monkeypatch
     ):
