@@ -7,13 +7,15 @@ one-argument sqrt and exp), e.g. "(1+sqrt(5))/2" or "exp(2*pi*I/3)".
 Strings are evaluated in high-precision complex arithmetic by a walk
 over their syntax tree, nothing else, and no subexpression may exceed
 2^PRECISION_BITS in absolute value.  Both parts of an [re, im] pair
-must be real, up to 2^-(PRECISION_BITS/2).  Each degree chi(1) must be
-a positive integer to the same tolerance.
+must be real, up to 2^-(PRECISION_BITS/2).  mpmath serves this parser
+alone: every later step, the load's checks included, is on integers.
 A brute-force counter over an explicit group is the formulas' oracle.
 
 Structure constants are exact integer arithmetic.  At load each value
 chi(g) is rounded once to the Gaussian integer x nearest chi(g) * 2^P,
-P = PRECISION_BITS = 240, and each degree is kept as an int.  The
+P = PRECISION_BITS = 240.  Each row must have <chi,chi> = 1 to 1e-6, and
+each degree chi(1) is kept as the int d >= 1 with |x - d 2^P| and |Im x|
+at most 2^(P/2).  The
 count of n-tuples with product 1 is K * sum_chi prod_i chi(g_i) /
 chi(1)^(n-2), K = |G|^(n-1) / prod_i |C(g_i)|; with L the lcm of the
 chi(1)^(n-2), the sum is formed exactly as sum_chi prod_i x_i *
@@ -69,9 +71,8 @@ class ClassInfo:
 class CharacterTable:
     group_order: int
     classes: tuple[ClassInfo, ...]
-    characters: tuple[tuple[mpmath.mpc, ...], ...]
-    # derived at load: each value as the Gaussian integer (re, im)
-    # nearest value * 2^PRECISION_BITS, and each degree chi(1) as an int
+    # each value as the Gaussian integer (re, im) nearest
+    # value * 2^PRECISION_BITS, and each degree chi(1) as an int
     values: tuple[tuple[tuple[int, int], ...], ...]
     degrees: tuple[int, ...]
 
@@ -178,32 +179,31 @@ def _validated_table(data, path) -> CharacterTable:
         raise CharacterTableError(
             f"{path}: first class must be the identity class"
         )
-    characters = tuple(
-        tuple(_parse_value(v) for v in row) for row in data["characters"]
-    )
+    rows = data["characters"]
+    values = tuple(tuple(_scaled(_parse_value(v)) for v in r) for r in rows)
+    one = 1 << PRECISION_BITS
+    unit = order * one * one  # |G| <chi,chi> = |G| at the scale 2^(2P)
     degrees = []
-    for ri, row in enumerate(characters):
+    for ri, row in enumerate(values):
         if len(row) != len(classes):
             raise CharacterTableError(
                 f"{path}: character row {ri} has wrong length"
             )
-        norm = sum(
-            c.size * (v * mpmath.conj(v)).real
-            for c, v in zip(classes, row)
-        )
-        if abs(norm / order - 1) > 1e-6:
+        norm = sum(c.size * (x * x + y * y) for c, (x, y) in zip(classes, row))
+        if 10**6 * abs(norm - unit) > unit:
             raise CharacterTableError(
                 f"{path}: character row {ri} fails <chi,chi> = 1 "
-                f"(got {mpmath.nstr(norm / order, 10)})"
+                f"(got {norm / unit:.10g})"
             )
-        degrees.append(int(mpmath.nint(row[0].real)))
-        if degrees[-1] < 1 or abs(row[0] - degrees[-1]) > _REAL_TOLERANCE:
+        x, y = row[0]
+        d = (x + one // 2) >> PRECISION_BITS
+        if d < 1 or max(abs(x - d * one), abs(y)) > 1 << PRECISION_BITS // 2:
             raise CharacterTableError(
                 f"{path}: character row {ri} has degree "
-                f"{mpmath.nstr(row[0], 10)}, not a positive integer"
+                f"{complex(x / one, y / one)}, not a positive integer"
             )
-    values = tuple(tuple(map(_scaled, row)) for row in characters)
-    return CharacterTable(order, classes, characters, values, tuple(degrees))
+        degrees.append(d)
+    return CharacterTable(order, classes, values, tuple(degrees))
 
 
 def _scaled(v: mpmath.mpc) -> tuple[int, int]:

@@ -101,9 +101,8 @@ def _diagonal_phi(args, T) -> mapping.CompleteMapping:
     if args.phi:
         data = json.loads(Path(_input(args, args.phi)).read_text())
         phi = data.get("phi") if isinstance(data, dict) else None
+        # diagonal_coloring_odd verifies it is a complete mapping
         phi = tuple(_points(phi, T.order, "the phi file's \"phi\""))
-        if not mapping.verify_complete_mapping(T, phi):
-            raise witness.WitnessError("supplied phi fails verification")
         return mapping.CompleteMapping(T, phi)
     result = mapping.find_complete_mapping(T)
     if result.mapping is None:

@@ -5,10 +5,11 @@ The suborbits of a transitive group are the orbits of a point
 stabilizer.  They come from one breadth-first pass from the base: each
 Schreier generator of the stabilizer is streamed into a union-find over
 the points and dropped, so no group element is listed or stored and no
-multiplication table is built.  Each suborbit corresponds to an orbital
-graph, whose collapsed adjacency matrix A_i records, for a
-representative of each suborbit j, how its orbital-i neighbourhood
-distributes over the suborbits.  The matrices span an algebra of
+multiplication table is built; the union-find's answer is kept as the
+point -> suborbit map.  Each suborbit corresponds to an orbital graph,
+whose collapsed adjacency matrix A_i records, for a representative of
+each suborbit j, how its orbital-i neighbourhood of s_i points spreads
+over the suborbits (each row sums to s_i).  The matrices span an algebra of
 dimension equal to the rank, and any two matrices that generate the
 whole algebra recover the rest: the span is closed on first rows modulo
 the prime 2^61 - 1, and the lifted integer matrices are certified over Z
@@ -33,6 +34,7 @@ class OrbitalDecomposition:
     base: int
     suborbits: tuple[tuple[int, ...], ...]
     pairing: tuple[int, ...]  # 0-based suborbit index -> paired index
+    suborbit_of: tuple[int, ...]  # point -> 0-based index of its suborbit
     # one group element per suborbit mapping base into it
     transversal: tuple
 
@@ -90,11 +92,13 @@ def orbital_decomposition(g: PermGroup, base: int) -> OrbitalDecomposition:
         root = parent[x] = parent[parent[x]]
         classes.setdefault(root, []).append(x)
     raw = sorted(classes.values(), key=lambda o: (o != [base], len(o), o[0]))
-    suborbit_of = {x: i for i, orb in enumerate(raw) for x in orb}
+    index = {orb[0]: i for i, orb in enumerate(raw)}  # keyed by root
+    suborbit_of = tuple(index[root] for root in parent)
     return OrbitalDecomposition(
         base,
         tuple(map(tuple, raw)),
         tuple(suborbit_of[back[orb[0]][base]] for orb in raw),
+        suborbit_of,
         tuple(Permutation(back[orb[0]]).inverse() for orb in raw),
     )
 
@@ -108,19 +112,13 @@ def collapsed_adjacency(
     r = dec.rank
     if not 0 <= i < r:
         raise OrbitalError(f"no orbital {i} (0-based) in rank {r}")
-    suborbit_of = {x: k for k, orb in enumerate(dec.suborbits) for x in orb}
     matrix = []
-    for j in range(r):
-        tj = dec.transversal[j]
+    for tj in dec.transversal:
         row = [0] * r
         for x in dec.suborbits[i]:
-            row[suborbit_of[tj(x)]] += 1
+            row[dec.suborbit_of[tj(x)]] += 1
         matrix.append(tuple(row))
-    out = CollapsedAdjacency(i, tuple(matrix))
-    for j, row in enumerate(out.matrix):
-        if sum(row) != dec.subdegrees[i]:
-            raise OrbitalError(f"row {j} of A_{i} does not sum to subdegree")
-    return out
+    return CollapsedAdjacency(i, tuple(matrix))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from synchro.groups import (
 )
 from synchro.orbitals import (
     CollapsedAdjacency,
+    OrbitalDecomposition,
     OrbitalError,
     collapsed_adjacency,
     intersection_algebra_expand,
@@ -170,10 +171,38 @@ def test_invariants_across_fixture_actions(name, build):
     for i, j in enumerate(dec.pairing):
         assert dec.pairing[j] == i
         assert dec.subdegrees[i] == dec.subdegrees[j]
+    # the point -> suborbit map agrees with the suborbits it indexes
+    assert len(dec.suborbit_of) == action.degree
+    for k, orb in enumerate(dec.suborbits):
+        for x in orb:
+            assert dec.suborbit_of[x] == k
     for i in range(dec.rank):
         m = collapsed_adjacency(action, dec, i)
         for row in m.matrix:
             assert sum(row) == dec.subdegrees[i]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: regular_perm_group(make_group("z12")),
+        lambda: pair_action(a5_natural())[0],
+    ],
+    ids=["z12 regular", "a5 pairs"],
+)
+def test_collapsed_adjacency_reads_no_subdegrees(monkeypatch, build):
+    # each row counts every point of suborbit i once, so its sum is the
+    # subdegree by construction and is not recomputed per row
+    action = build()
+    dec = orbital_decomposition(action, 0)
+    expected = [collapsed_adjacency(action, dec, i) for i in range(dec.rank)]
+
+    def boom(self):
+        raise AssertionError("subdegrees read")
+
+    monkeypatch.setattr(OrbitalDecomposition, "subdegrees", property(boom))
+    got = [collapsed_adjacency(action, dec, i) for i in range(dec.rank)]
+    assert got == expected
 
 
 def brute_force_orbitals(action, base):
