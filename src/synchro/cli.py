@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, chartab, diagonal, groups, mapping, matrep
+from . import __version__, diagonal, groups, mapping, matrep
 from . import orbitals, reproduce, witness
 
 EXIT_OK = 0
@@ -266,6 +266,7 @@ def cmd_matrep(args) -> tuple[dict, int]:
 
 
 def cmd_chartab(args) -> tuple[dict, int]:
+    from . import chartab  # loads mpmath, which no other subcommand needs
     t = chartab.load_character_table(_input(args, args.table))
     payload: dict = {"table": args.table, "group_order": t.group_order}
     if args.xi:

@@ -7,7 +7,8 @@ there; the constructors and the matrix file reader reject any other
 field with MatrixError.  Every product goes through Four-Russians
 tables (Albrecht, Bard & Hart, ACM TOMS 2010): table k of a matrix
 holds the XOR of every subset of its rows 8k..8k+7, so a row vector
-times the matrix is one lookup per byte of the vector.
+times the matrix is one lookup per byte of the vector, made by the
+straight-line code t0[b0] ^ t1[b1] ^ ... compiled once per table count.
 
 The fingerprint of a pair of involutions (x, y) is the 4-tuple of
 subspace dimensions obtained from the recursion
@@ -34,7 +35,7 @@ U = B(1-x) inside A, W = A(1-y) inside B and K = A meet B,
 as U meet W lies in K.  d2 holds because V_1(1-x) = V(1-y)(1-x), as
 (1-x)^2 = 0, and d1p because V(1-yxy) = Vy(1-x)y = V(1-x)y; d2p
 likewise.  A pair costs four eliminations into pivot lists indexed by
-bit length and at most dim A + dim B table products.  The
+bit length and at most dim A + dim B row products.  The
 intersections are Zassenhaus's: over a basis of one space shifted
 above the n low bits, insert each vector v of the other tagged as
 v << n | v.  A row whose high part vanishes leaves its tag, a vector
@@ -48,11 +49,12 @@ basis (they span a complement of K in B); W likewise, from B_x and y.
 
 As the fingerprint is invariant under simultaneous conjugation,
 fingerprint(a, t^-1 m t) = fingerprint(t a t^-1, m): a collapsed matrix
-conjugates a once per row and builds the data of its rows once.  The
-breadth-first closure streams each orbit element with the tables that
-form its images; those tables also serve the element's fingerprints
-and are dropped before the next element, so a collapsed matrix keeps
-tables for O(rank) involutions, not O(|orbit|).
+conjugates a once per row and builds the data of its rows once; row 0,
+with rep 0 in C(a), is one pair.  The breadth-first closure streams
+each orbit element with the tables that form its images; those tables
+also serve the element's fingerprints and are dropped before the next
+element, so a collapsed matrix keeps tables for O(rank) involutions,
+not O(|orbit|).
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 
 class MatrixError(ValueError):
@@ -90,13 +92,21 @@ def _subset_xor_tables(rows) -> list[list[int]]:
     return tables
 
 
-def _row_times_tables(v: int, tables) -> int:
-    """The row vector v times the matrix whose tables these are; there
-    is one table per byte of v."""
-    acc = 0
-    for table, byte in zip(tables, v.to_bytes(len(tables), "little")):
-        acc ^= table[byte]
-    return acc
+_KERNELS: dict = {}  # table count -> make(t0, t1, ...) -> v -> v M
+
+
+def _times(tables):
+    """v -> v M for the matrix M whose tables these are, as straight-line
+    code from a fixed template, compiled once per table count."""
+    k = len(tables)
+    if k not in _KERNELS:
+        t, b = ([f"{c}{j}" for j in range(k)] for c in "tb")
+        exec(f"def make({', '.join(t)}):\n def times(v):\n"
+             f"  [{', '.join(b)}] = v.to_bytes({k}, 'little')\n"
+             f"  return {' ^ '.join(map('{}[{}]'.format, t, b)) or 0}\n"
+             " return times", namespace := {})
+        _KERNELS[k] = namespace["make"]
+    return _KERNELS[k](*tables)
 
 
 def _check_field(p: int) -> None:
@@ -141,34 +151,29 @@ class BitMatrix:
     def __mul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.dim != other.dim:
             raise MatrixError("shape mismatch")
-        tables = _subset_xor_tables(other.rows)
-        return BitMatrix(
-            2, self.dim, [_row_times_tables(r, tables) for r in self.rows]
-        )
+        times = _times(_subset_xor_tables(other.rows))
+        return BitMatrix(2, self.dim, map(times, self.rows))
 
     def inverse(self) -> "BitMatrix":
-        """Eliminate the rows (r_i << n) | 1 << i in a pivot list: row i
-        of the inverse is the low half of the reduced pivot whose high
-        half is 1 << i."""
+        """Eliminate the rows (r_i << n) | 1 << i in a pivot list: row j
+        is the low half of the pivot leading at bit n + j plus rows k for
+        its high bits n + k, k < j, summed through subset tables that are
+        filled row by row, in place, under one kernel."""
         n = self.dim
         pivots = [0] * (2 * n + 1)
         rows = ((r << n) | 1 << i for i, r in enumerate(self.rows))
         if _insert(pivots, rows, n) < n:
             raise MatrixError("matrix is singular")
-        high = pivots[n + 1:]
-        for k in range(n):
-            bit = 1 << (n + k)
-            for j in range(k + 1, n):
-                if high[j] & bit:
-                    high[j] ^= high[k]
         mask = (1 << n) - 1
-        return BitMatrix(2, n, [r & mask for r in high])
+        tables = [[0] for _ in range(0, n, 8)]
+        times, inv = _times(tables), []
+        for j, r in enumerate(pivots[n + 1:]):
+            inv.append(r & mask ^ times(r >> n ^ 1 << j))
+            tables[j // 8] += [t ^ inv[j] for t in tables[j // 8]]
+        return BitMatrix(2, n, inv)
 
     def conjugate_by(self, g: "BitMatrix") -> "BitMatrix":
         return g.inverse() * self * g
-
-    def is_identity(self) -> bool:
-        return self == BitMatrix.identity(2, self.dim)
 
     def order(self, cutoff: int = 10_000) -> int:
         ident = BitMatrix.identity(2, self.dim)
@@ -199,11 +204,7 @@ def parse_matrix_file(path) -> list[BitMatrix]:
     """Header 'p nmats dim dim' with p = 2, then each matrix as dim lines
     of dim binary digits, optionally whitespace-separated."""
     lines = Path(path).read_text().split("\n")
-    rows_iter = iter(
-        (lineno + 1, line.strip())
-        for lineno, line in enumerate(lines)
-        if line.strip()
-    )
+    rows_iter = ((k + 1, ln.strip()) for k, ln in enumerate(lines) if ln.strip())
     try:
         _, head = next(rows_iter)
     except StopIteration:
@@ -406,27 +407,26 @@ def _insert(pivots: list[int], vectors, above: int) -> int:
 
 class _Involution(NamedTuple):
     """What a fingerprint needs of an involution x: an echelon basis B_x,
-    x's tables, and B_x shifted above the n low bits as a pivot list of
+    v -> vx, and B_x shifted above the n low bits as a pivot list of
     2n + 1 slots (module docstring)."""
 
     basis: list[int]
-    tables: list[list[int]]
+    times: Callable[[int], int]
     shifted: list[int]
 
     @staticmethod
-    def of(x: BitMatrix, tables=None) -> "_Involution":
-        """x's data, unchecked; `tables` are x's when already built."""
-        n = x.dim
+    def of(rows, times=None) -> "_Involution":
+        """x's data from its rows, unchecked; `times` is v -> vx if built."""
+        n = len(rows)
         pivots = [0] * (n + 1)
-        _insert(pivots, (r ^ 1 << i for i, r in enumerate(x.rows)), 0)
+        _insert(pivots, (r ^ 1 << i for i, r in enumerate(rows)), 0)
         basis = [v for v in pivots if v]
-        if tables is None:
-            tables = _subset_xor_tables(x.rows)
-        return _Involution(basis, tables, [0] * n + [v << n for v in pivots])
+        times = times or _times(_subset_xor_tables(rows))
+        return _Involution(basis, times, [0] * n + [v << n for v in pivots])
 
     def checked(self) -> "_Involution":
         """self, once B_x x = B_x has shown that x^2 = 1."""
-        if any(_row_times_tables(v, self.tables) != v for v in self.basis):
+        if any(self.times(v) != v for v in self.basis):
             raise MatrixError("fingerprint needs involutions (x^2 = y^2 = 1)")
         return self
 
@@ -442,8 +442,8 @@ def _fingerprint(x: _Involution, y: _Involution) -> tuple[int, int, int, int]:
     k_shifted = [0] * n + [v << n for v in piv[:n + 1]]
     # U = B_y(1-x) and W = B_x(1-y), each tagged over K; the basis vectors
     # off K's pivots span complements of K, which 1-x and 1-y kill
-    u = [v ^ _row_times_tables(v, xt) for v in ys if not piv[v.bit_length()]]
-    w = [v ^ _row_times_tables(v, yt) for v in xs if not piv[v.bit_length()]]
+    u = [v ^ xt(v) for v in ys if not piv[v.bit_length()]]
+    w = [v ^ yt(v) for v in xs if not piv[v.bit_length()]]
     piv = k_shifted.copy()
     hu = _insert(piv, [v << n | v for v in u], n)
     hw = _insert(k_shifted, [v << n | v for v in w], n)
@@ -457,9 +457,8 @@ def fingerprint(x: BitMatrix, y: BitMatrix) -> Fingerprint:
     """Conjugacy invariants of an involution pair; see module docstring."""
     if x.dim != y.dim:
         raise MatrixError("shape mismatch")
-    return Fingerprint(
-        *_fingerprint(_Involution.of(x).checked(), _Involution.of(y).checked())
-    )
+    xd, yd = (_Involution.of(m.rows).checked() for m in (x, y))
+    return Fingerprint(*_fingerprint(xd, yd))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +475,7 @@ def centralizer_generators(
     env = {"a": a, "b": b}
     h1 = eval_word(env, "[a,b]^5(ab^2)^6")
     h2 = eval_word(env, "bab^2ab[a,bab^2ab]^5ababab[a,ababab]^5")
-    if a.is_identity():
+    if a == BitMatrix.identity(2, a.dim):
         raise MatrixError("degenerate input: a is the identity")
     for i, h in enumerate((h1, h2), start=1):
         if h * a != a * h:
@@ -484,20 +483,17 @@ def centralizer_generators(
     return h1, h2
 
 
-def _orbit(seed: BitMatrix, conjugators):
+def _orbit(seed: BitMatrix, conjugators, kernels=None):
     """Close {seed} under m -> h^-1 m h for each conjugator, breadth
-    first with conjugators applied in listed order, yielding each element
-    with its tables.  Those tables form the element's images once the
-    consumer is done with them, and are then dropped; the tables of each
-    h are built once.  `seen` keeps each element's rows packed into one
-    bytes string, and only the queue holds matrices, so a streaming
-    consumer holds the frontier, not the orbit."""
+    first in listed order, yielding each element m with v -> vm, which
+    then forms m's images; each h's v -> vh is built once or passed in
+    `kernels`.  `seen` holds packed rows and only the queue holds
+    matrices, so a streaming consumer holds the frontier, not the orbit."""
     dim = seed.dim
-    by_tables = [
-        (h.inverse().rows, _subset_xor_tables(h.rows)) for h in conjugators
-    ]
-    if any(len(hinv_rows) != dim for hinv_rows, _ in by_tables):
+    if any(h.dim != dim for h in conjugators):
         raise MatrixError("shape mismatch")
+    kernels = kernels or [_times(_subset_xor_tables(h.rows)) for h in conjugators]
+    by_kernels = [(h.inverse().rows, ht) for h, ht in zip(conjugators, kernels)]
     width = (dim + 7) // 8
 
     def packed(rows):
@@ -507,13 +503,10 @@ def _orbit(seed: BitMatrix, conjugators):
     seen = {packed(seed.rows)}
     while queue:
         m = queue.popleft()
-        mt = _subset_xor_tables(m.rows)
+        mt = _times(_subset_xor_tables(m.rows))
         yield m, mt
-        for hinv_rows, ht in by_tables:
-            rows = [
-                _row_times_tables(_row_times_tables(r, mt), ht)
-                for r in hinv_rows
-            ]
+        for hinv_rows, ht in by_kernels:
+            rows = list(map(ht, map(mt, hinv_rows)))
             key = packed(rows)
             if key not in seen:
                 seen.add(key)
@@ -542,45 +535,54 @@ def collapsed_adjacency_matrep(
     """Collapsed adjacency matrix A_i for the conjugation action on the
     class of a, computed entirely inside the matrix representation.
 
-    rep_words[j] conjugates a into orbital j (index 0 = the identity
-    word); it is a BitMatrix or a word over standard_environment(a, b),
-    which is built only when some entry is a word.  The orbit is closed
-    under `conjugators`, which must generate the centralizer of a; each
-    is checked to commute with a.  None is implied: for J4,
+    rep_words[j] conjugates a into orbital j (rep 0 must commute with a);
+    it is a BitMatrix or a word over standard_environment(a, b), which
+    is built only when some entry is a word.  The orbit is closed under
+    `conjugators`, which must generate the centralizer of a; each is
+    checked to commute with a.  None is implied: for J4,
     reproduce.collapsed passes the evaluated centralizer words.  The
     fingerprint table assigns each conjugate pair to its orbital.
-    Unknown fingerprints raise UnknownOrbitalError; i out of range or a
-    conjugator outside the centralizer, MatrixError.
+    Unknown fingerprints raise UnknownOrbitalError; i out of range, a
+    shape mismatch or rep 0 or a conjugator outside C(a), MatrixError.
     """
     from .orbitals import CollapsedAdjacency
 
     rank = len(rep_words)
     if not 0 <= i < rank:
         raise MatrixError(f"no orbital {i} (0-based) in rank {rank}")
-    for k, h in enumerate(conjugators):
-        if h * a != a * h:
-            raise MatrixError(f"conjugator {k} does not commute with a")
     words = [w for w in rep_words if not isinstance(w, BitMatrix)]
     env = standard_environment(a, b) if words else None
-    reps = [
-        w if isinstance(w, BitMatrix) else eval_word(env, w)
-        for w in rep_words
-    ]
+    reps = [w if isinstance(w, BitMatrix) else eval_word(env, w) for w in rep_words]
+    if any(m.dim != a.dim for m in (*conjugators, *reps)):
+        raise MatrixError("shape mismatch")
+    at, *kernels = [_times(_subset_xor_tables(m.rows)) for m in (a, *conjugators)]
+    for k, (h, ht) in enumerate(zip(conjugators, kernels)):
+        if list(map(at, h.rows)) != list(map(ht, a.rows)):
+            raise MatrixError(f"conjugator {k} does not commute with a")
+
+    def conjugate(t, tinv):  # the rows of t a tinv
+        return list(map(_times(_subset_xor_tables(tinv.rows)), map(at, t.rows)))
+
     inverses = [t.inverse() for t in reps]
     # fingerprint(a, t^-1 m t) = fingerprint(t a t^-1, m)
-    row_data = [
-        _Involution.of(t * a * tinv).checked()
-        for t, tinv in zip(reps, inverses)
-    ]
+    conjugates = [conjugate(t, tinv) for t, tinv in zip(reps, inverses)]
+    if conjugates[0] != list(a.rows):
+        raise MatrixError("representative 0 does not commute with a")
+    row_data = [_Involution.of(a.rows, at).checked()]
+    row_data += [_Involution.of(rows).checked() for rows in conjugates[1:]]
+    seed = BitMatrix(2, a.dim, conjugate(inverses[i], reps[i]))
     matrix = [[0] * rank for _ in range(rank)]
-    for m, tables in _orbit(inverses[i] * a * reps[i], conjugators):
-        data = _Involution.of(m, tables)  # conjugate to a: no check
-        for row, aj in zip(matrix, row_data):
+    pairs = list(zip(matrix, row_data))
+    for size, (m, mt) in enumerate(_orbit(seed, conjugators, kernels), 1):
+        data = _Involution.of(m.rows, mt)  # conjugate to a: no check
+        for row, aj in pairs if size == 1 else pairs[1:]:
             fp = _fingerprint(aj, data)
             try:
                 row[fingerprint_table[fp]] += 1
             except KeyError:
-                raise UnknownOrbitalError(
-                    f"fingerprint {fp} not in classification table"
-                ) from None
+                msg = f"fingerprint {fp} not in classification table"
+                raise UnknownOrbitalError(msg) from None
+    # the conjugators centralize a, so every element pairs with a in the
+    # seed's orbital: row 0 holds |orbit| where the seed put its 1
+    matrix[0] = [size * c for c in matrix[0]]
     return CollapsedAdjacency(i, tuple(map(tuple, matrix)))

@@ -547,6 +547,18 @@ class TestErrorPaths:
     def test_usage_error(self, capsys):
         assert run(capsys, "nonsense-command")[0] == 2
 
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        # a fresh interpreter: only `chartab` and `reproduce table1` load it
+        src = str(Path(cli.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import synchro.cli; "
+            "print('synchro.chartab' in sys.modules, 'mpmath' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "False False\n"
+
     def test_unknown_group(self, capsys):
         code, _, err = run(capsys, "complete-mapping", "--group", "monster")
         assert code == 2
@@ -816,6 +828,22 @@ class TestReproducePipeline:
         assert code == 1 and payload["ok"] is False
         if target == "entry-lists":
             assert payload["differs_from_printed"] == ["A2"]
+
+    @pytest.mark.parametrize("target", ["A2", "entry-lists"])
+    @pytest.mark.parametrize("broken", ["row sums", "weighted symmetry"])
+    def test_broken_identity_named(self, capsys, tmp_path, j4_stubs, target, broken):
+        # one more on a diagonal entry changes only a row sum; a swap in a
+        # row keeps its sum and breaks s_j (A_i)_jk = s_k (A_i)_kj
+        a2 = [list(r) for r in reproduce.printed_matrix("A2")]
+        if broken == "row sums":
+            a2[1][1] += 1
+        else:
+            a2 = swap_entry(a2, 1, 1, 2)
+        j4_stubs.matrices[1] = tuple(map(tuple, a2))
+        code, payload = reproduce_in(capsys, tmp_path, target)
+        assert code == 1 and payload["ok"] is False
+        assert payload["broken_identities"] == {"A2": [broken]}
+        assert payload["differs_from_printed"] == ["A2"]
 
     @pytest.mark.parametrize("target", ["table2", "A2", "A4", "entry-lists"])
     def test_failed_order_check_stops_the_target(

@@ -86,6 +86,26 @@ class TestBitMatrix:
                 want = sum(ea[i][k] & eb[k][j] for k in range(dim)) % 2
                 assert c.entry(i, j) == want
 
+    @pytest.mark.parametrize("dim", [1, 7, 8, 9, 45, 112, 129, 4096])
+    def test_straight_line_kernel_matches_the_table_loop(self, dim):
+        # at the 4096 cap, a permutation matrix: vP moves bit j to images[j]
+        rng = random.Random(dim)
+        images = rng.sample(range(dim), dim)
+        if dim == 4096:
+            rows = [1 << j for j in images]
+        else:
+            rows = [rng.getrandbits(dim) for _ in range(dim)]
+        tables = matrep._subset_xor_tables(rows)
+        times = matrep._times(tables)
+        for v in [0, (1 << dim) - 1, *(rng.getrandbits(dim) for _ in range(20))]:
+            want = 0
+            for table, byte in zip(tables, v.to_bytes(len(tables), "little")):
+                want ^= table[byte]
+            assert times(v) == want
+            if dim == 4096:
+                assert want == sum(1 << images[j] for j in range(dim) if v >> j & 1)
+        assert matrep._times(tables[:1])(1) == rows[0]
+
     @given(bits4, bits4, bits4)
     def test_mul_associative(self, a, b, c):
         assert (a * b) * c == a * (b * c)
@@ -94,7 +114,7 @@ class TestBitMatrix:
     def test_inverse_roundtrip(self, m):
         assert m * m.inverse() == BitMatrix.identity(2, 5)
 
-    @pytest.mark.parametrize("dim", [13, 112])
+    @pytest.mark.parametrize("dim", [13, 112, 113, 200])
     def test_dense_inverse_roundtrip(self, dim):
         rng = random.Random(dim)
         for _ in range(4):
@@ -668,6 +688,47 @@ class TestMatrepCrossValidation:
         c = perm_matrix(parse_permutation("(0 1 2)", 5))
         with pytest.raises(MatrixError, match="needs involutions"):
             collapsed_adjacency_matrep(c, b, reps, table, 1, conjugators=[c])
+
+    @pytest.mark.parametrize("rep0", ["(2 3)", "(0 1)(2 3 4)"])
+    def test_rep0_in_the_centralizer(self, s5_setup, rep0):
+        action, dec, a, b, reps, table, centralizer = s5_setup
+        reps = [perm_matrix(parse_permutation(rep0, 5)), *reps[1:]]
+        for i in range(dec.rank):
+            ca = collapsed_adjacency_matrep(a, b, reps, table, i, conjugators=centralizer)
+            assert ca.matrix == collapsed_adjacency(action, dec, i).matrix
+
+    def test_rep0_moving_a_rejected(self, s5_setup, monkeypatch):
+        _, dec, a, b, reps, table, centralizer = s5_setup
+
+        def boom(*args):
+            raise AssertionError("orbit closed with a bad rep 0")
+
+        monkeypatch.setattr(matrep, "_orbit", boom)
+        reps = [perm_matrix(parse_permutation("(1 2)", 5)), *reps[1:]]
+        with pytest.raises(MatrixError, match="representative 0"):
+            collapsed_adjacency_matrep(a, b, reps, table, 1, conjugators=centralizer)
+
+    def test_row0_from_one_pair(self, s5_setup, monkeypatch):
+        # rows 1..rank-1 take one pair per orbit element, row 0 one in all
+        action, dec, a, b, reps, table, centralizer = s5_setup
+        pairs = []
+        pair = matrep._fingerprint
+        monkeypatch.setattr(
+            matrep, "_fingerprint", lambda x, y: pairs.append(x) or pair(x, y)
+        )
+        for i, s in enumerate(dec.subdegrees):
+            pairs.clear()
+            ca = collapsed_adjacency_matrep(a, b, reps, table, i, conjugators=centralizer)
+            assert ca.matrix == collapsed_adjacency(action, dec, i).matrix
+            assert ca.matrix[0] == tuple(s * (k == i) for k in range(dec.rank))
+            assert len(pairs) == 1 + (dec.rank - 1) * s
+
+    def test_shape_mismatch_rejected(self, s5_setup):
+        _, _, a, b, reps, table, centralizer = s5_setup
+        six = BitMatrix.identity(2, 6)
+        for reps, conj in (([*reps[:2], six], centralizer), (reps, [six])):
+            with pytest.raises(MatrixError, match="shape mismatch"):
+                collapsed_adjacency_matrep(a, b, reps, table, 1, conjugators=conj)
 
     def test_each_orbit_element_tabulated_once(self, s5_setup, monkeypatch):
         # no conjugator, representative or inverse is a transposition, so
