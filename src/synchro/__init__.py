@@ -5,7 +5,8 @@ computations in permutation and matrix representations, and class
 algebra structure constants from character tables.
 
 Each module is imported on first use (PEP 562), so `import
-synchro.matrep` does not load `chartab` and its mpmath dependency.
+synchro.matrep` does not load `chartab`.  The package needs nothing
+outside the standard library.
 """
 
 import importlib

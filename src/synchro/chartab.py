@@ -4,11 +4,19 @@ Tables are data files (JSON): class data plus character rows whose
 values are numbers, [re, im] pairs, or strings in a closed grammar (int
 and float literals, unary + -, binary + - * / **, the names I and pi,
 one-argument sqrt and exp), e.g. "(1+sqrt(5))/2" or "exp(2*pi*I/3)".
-Strings are evaluated in high-precision complex arithmetic by a walk
-over their syntax tree, nothing else, and no subexpression may exceed
-2^PRECISION_BITS in absolute value.  Both parts of an [re, im] pair
-must be real, up to 2^-(PRECISION_BITS/2).  mpmath serves this parser
-alone: every later step, the load's checks included, is on integers.
+Strings are evaluated by a walk over their syntax tree, nothing else,
+and no subexpression may reach 2^PRECISION_BITS in absolute value.
+Both parts of an [re, im] pair must be real, up to 2^-(PRECISION_BITS/2).
+The walk is in fixed point (Brent & Zimmermann, Modern Computer
+Arithmetic, 2010, ch. 4): a value is a Gaussian integer z standing for
+z / 2^W, W = PRECISION_BITS + 48 guard bits.  + - * / round at 2^-W;
+sqrt takes the principal branch through math.isqrt; pi is Machin's
+formula; exp reduces Im z mod 2 pi, with pi carried to the bits of the
+multiple, and squares a Taylor series of z / 2^h h times; x ** n for an
+integer n is by squaring, each partial power held to the bound, and other
+powers are exp(y log x), log by Newton's method from cmath's value.
+Every later step, the load's checks included, is on integers, so the
+package needs nothing outside the standard library.
 A brute-force counter over an explicit group is the formulas' oracle.
 
 Structure constants are exact integer arithmetic.  At load each value
@@ -23,9 +31,14 @@ chi(1)^(n-2), the sum is formed exactly as sum_chi prod_i x_i *
 rounded once, behind a realness and an integrality guard (both 1e-3);
 xi = count / |G|.  The load's rounding is the only inexact step.
 
-Error bound.  Let every stored x / 2^P be within delta of the true
-chi(g) (the rounding adds at most 2^-P / sqrt(2) to a parse error of a
-few units in the last of P bits, so delta <= 2^-(P-8) M is generous),
+Error bound.  Each step of the walk rounds at 2^-W, and exp, log and
+** work at more bits inside, so a parsed value is off by a few units of
+2^-W times its derivative in its rounded inputs (a literal such as 1/3,
+or pi).  While that derivative stays below 2^38, as it does for the
+sums and products of surds and roots of unity character values are
+written in, the 48 guard bits keep the parse within 2^-(P+8), and the
+load's rounding adds at most 2^-P / sqrt(2).  Let every stored x / 2^P
+be within delta of the true chi(g) (delta <= 2^-(P-8) M is generous),
 M >= 1 the largest |chi(g)| and k the number of characters.  Each
 product of n values is then off by at most n delta (M + delta)^(n-1),
 the division by chi(1)^(n-2) >= 1 does not enlarge it, and so the
@@ -40,15 +53,14 @@ trips them: they fire only on a table that is not a character table.
 from __future__ import annotations
 
 import ast
+import cmath
+import functools
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-
-import mpmath
 
 from .groups import ConjugacyClassing, FiniteGroup, conjugacy_classes
 
@@ -83,57 +95,219 @@ class CharacterTable:
         raise CharacterTableError(f"no class named {name!r}")
 
 
-_OPERATORS = {
-    ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Add: operator.add,
-    ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
-    ast.Pow: operator.pow,
-}
-_REAL_TOLERANCE = mpmath.mpf(2) ** -(PRECISION_BITS // 2)
-_FUNCTIONS = {"sqrt": mpmath.sqrt, "exp": mpmath.exp}
+# A value z = (re, im) stands for (re + i im) / 2^bits; the grammar is
+# evaluated at bits = _W, and exp, log and ** work finer inside.
+_W = PRECISION_BITS + 48
+_REAL_TOLERANCE = 1 << _W - PRECISION_BITS // 2
+_LOG2_E = 1 / math.log(2)
 _PARSE_ERRORS = (
-    SyntaxError, RecursionError, MemoryError, ZeroDivisionError, ValueError
+    SyntaxError, RecursionError, MemoryError, ZeroDivisionError, ValueError,
+    OverflowError,
 )
+
+
+def _shift(n: int, k: int) -> int:
+    """n / 2^k to the nearest integer, ties up; k >= 0."""
+    return (n + (1 << k >> 1)) >> k
+
+
+def _quotient(n: int, d: int) -> int:
+    """n / d to the nearest integer, ties up; d != 0."""
+    return (2 * n + d) // (2 * d)
+
+
+def _rescaled(z, k: int):
+    """z at scale 2^(bits - k) from z at scale 2^bits: k >= 0 rounds."""
+    return (_shift(z[0], k), _shift(z[1], k)) if k >= 0 else (
+        z[0] << -k, z[1] << -k)
+
+
+def _bounded(z, bits=_W):
+    """z, if |z| < 2^PRECISION_BITS."""
+    if z[0] ** 2 + z[1] ** 2 >= 1 << 2 * (bits + PRECISION_BITS):
+        raise ValueError(f"magnitude exceeds 2^{PRECISION_BITS}")
+    return z
+
+
+def _number(x):
+    """An int or float, exactly, rounded at 2^-_W."""
+    n, d = x.as_integer_ratio()
+    return _quotient(n << _W, d), 0
+
+
+def _mul(z, w, bits=_W):
+    (a, b), (c, d) = z, w
+    return _shift(a * c - b * d, bits), _shift(a * d + b * c, bits)
+
+
+def _div(z, w, bits=_W):
+    (a, b), (c, d) = z, w
+    den = c * c + d * d
+    return (_quotient(a * c + b * d << bits, den),
+            _quotient(b * c - a * d << bits, den))
+
+
+@functools.cache
+def _pi(bits: int) -> int:
+    """pi * 2^bits to the nearest integer, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239); each truncated term costs at most
+    two units, which the guard bits absorb."""
+    guard = bits.bit_length() + 6
+    one = 1 << bits + guard
+
+    def atan_inv(n):  # atan(1/n) * one
+        total, term, k = 0, one // n, 1
+        while term:
+            total += term // k if k % 4 == 1 else -(term // k)
+            term //= n * n
+            k += 2
+        return total
+
+    return _shift(16 * atan_inv(5) - 4 * atan_inv(239), guard)
+
+
+def _exp(z, bits=_W):
+    """exp z.  Im z loses its nearest multiple k of 2 pi, with pi carried
+    to the bits of k; z / 2^h, |z / 2^h| < 2^-10, is summed as a Taylor
+    series and squared h times.  The work is at g bits, enough for the
+    h squarings and the size of the result to leave a unit of 2^-bits."""
+    x, y = z
+    e = x / (1 << bits) * _LOG2_E  # log2 |exp z|
+    if e > PRECISION_BITS + 1:
+        raise ValueError(f"magnitude exceeds 2^{PRECISION_BITS}")
+    if e < -bits - 1:
+        return 0, 0
+    h = ((abs(x) >> bits) + 4).bit_length() + 10  # |z| <= |x| + pi after
+    g = bits + h + max(0, math.ceil(e)) + 10
+    kb = (abs(y) >> bits).bit_length() + 1
+    fine = g - h + kb
+    tau = 2 * _pi(fine)
+    y = y << fine - bits
+    y -= _quotient(y, tau) * tau
+    # (x, y) at scale 2^(g - h) is z / 2^h at scale 2^g
+    c, d = x << g - h - bits, _shift(y, kb)
+    term = total = 1 << g, 0
+    n = 0
+    while term != (0, 0):  # term = (z / 2^h)^n / n!
+        n += 1
+        a, b = term
+        term = _quotient(a * c - b * d, n << g), _quotient(a * d + b * c, n << g)
+        total = total[0] + term[0], total[1] + term[1]
+    for _ in range(h):
+        total = _mul(total, total, g)
+    return _rescaled(total, g - bits)
+
+
+def _log(z, bits):
+    """The principal log of z != 0, by Newton's method
+    w -> w - 1 + z / exp w from cmath's value, which is good to 2^-44 and
+    picks the branch; each step doubles the good bits.  A small z is
+    worked on at as many more bits as it has leading zeros, so that
+    z / exp w keeps `bits` significant bits."""
+    seed = cmath.log(complex(*z) / (1 << bits))
+    fine = max(bits, 2 * bits - max(map(abs, z)).bit_length())
+    z = _rescaled(z, bits - fine)
+    w = round(math.ldexp(seed.real, fine)), round(math.ldexp(seed.imag, fine))
+    for _ in range((fine // 45).bit_length()):
+        q = _div(z, _exp(w, fine), fine)
+        w = w[0] + q[0] - (1 << fine), w[1] + q[1]
+    return _rescaled(w, fine - bits)
+
+
+def _pow(x, y, bits=_W):
+    """x ** y: by squaring for an integer y, else exp(y log x), with
+    log's principal branch, at 16 more bits than the size of the result
+    asks for."""
+    one = 1 << bits
+    if y[1] == 0 and y[0] % one == 0:
+        n = y[0] >> bits
+        if n < 0:
+            x, n = _div((one, 0), x, bits), -n
+        if x == (0, 0) or n == 0:
+            return (0 if n else one), 0
+        # each partial power is bounded, as 9**9**9**9 or
+        # (1+2**-50)**(2**239) would otherwise not finish: for |x| >= 1
+        # it is at most |x|^n, and for |x| < 1 at most 1
+        out = x
+        for bit in bin(n)[3:]:  # the bits below the leading one
+            out = _bounded(_mul(out, out, bits), bits)
+            if bit == "1":
+                out = _bounded(_mul(out, x, bits), bits)
+        return out
+    if x == (0, 0):
+        if y[0] > 0:
+            return 0, 0
+        raise ZeroDivisionError("0 to a power with real part <= 0")
+    size = (complex(*y) * cmath.log(complex(*x) / one)).real / one * _LOG2_E
+    fine = bits + 16 + min(max(0, math.ceil(size)), PRECISION_BITS + 2)
+    x, y = _rescaled(x, bits - fine), _rescaled(y, bits - fine)
+    return _rescaled(_exp(_mul(y, _log(x, fine), fine), fine), fine - bits)
+
+
+def _sqrt(z, bits=_W):
+    """The principal square root, through math.isqrt: the larger of
+    |Re|, |Im| of the root from (|z| +- Re z) / 2, the other from it."""
+    a, b = z
+    r = math.isqrt(a * a + b * b)
+    if a >= 0:
+        u = math.isqrt(r + a << bits - 1)
+        return (u, _quotient(b << bits, 2 * u)) if u else (0, 0)
+    v = math.isqrt(r - a << bits - 1)
+    v = -v if b < 0 else v
+    return _quotient(b << bits, 2 * v), v
+
+
+_UNARY = {ast.UAdd: lambda z: z, ast.USub: lambda z: (-z[0], -z[1])}
+_BINARY = {
+    ast.Add: lambda z, w: (z[0] + w[0], z[1] + w[1]),
+    ast.Sub: lambda z, w: (z[0] - w[0], z[1] - w[1]),
+    ast.Mult: _mul, ast.Div: _div, ast.Pow: _pow,
+}
+_FUNCTIONS = {"sqrt": _sqrt, "exp": _exp}
 
 
 def _evaluate(node):
     match node:
         case ast.Constant(x) if type(x) in (int, float):
-            value = mpmath.mpf(x)
+            value = _number(x)
         case ast.Name("I"):
-            value = mpmath.j
+            value = 0, 1 << _W
         case ast.Name("pi"):
-            value = +mpmath.pi
-        case ast.UnaryOp(op, x) if type(op) in _OPERATORS:
-            value = _OPERATORS[type(op)](_evaluate(x))
-        case ast.BinOp(x, op, y) if type(op) in _OPERATORS:
-            value = _OPERATORS[type(op)](_evaluate(x), _evaluate(y))
+            value = _pi(_W), 0
+        case ast.UnaryOp(op, x) if type(op) in _UNARY:
+            value = _UNARY[type(op)](_evaluate(x))
+        case ast.BinOp(x, op, y) if type(op) in _BINARY:
+            value = _BINARY[type(op)](_evaluate(x), _evaluate(y))
         case ast.Call(ast.Name(f), [x], []) if f in _FUNCTIONS:
             value = _FUNCTIONS[f](_evaluate(x))
         case _:
             raise ValueError(f"{ast.unparse(node)[:40]!r} not in the grammar")
-    # bounds every exponent too: 9**9**9**9 would otherwise not finish
-    if not mpmath.mag(value) <= PRECISION_BITS:
-        raise ValueError(f"magnitude exceeds 2^{PRECISION_BITS}")
-    return value
+    return _bounded(value)
 
 
-def _parse_value(v) -> mpmath.mpc:
-    if isinstance(v, (int, float)):
-        return mpmath.mpc(v)
+def _evaluated(v):
+    """v at scale 2^_W: a number, a string in the grammar, or an
+    [re, im] pair of real values."""
     if isinstance(v, list) and len(v) == 2:
-        real, imag = map(_parse_value, v)
-        if max(abs(real.imag), abs(imag.imag)) > _REAL_TOLERANCE:
+        (real, real_im), (imag, imag_im) = map(_evaluated, v)
+        if max(abs(real_im), abs(imag_im)) > _REAL_TOLERANCE:
             raise CharacterTableError(f"non-real part in [re, im] {v!r:.80}")
-        return mpmath.mpc(real.real, imag.real)
-    if isinstance(v, str):
-        try:
-            with mpmath.workprec(PRECISION_BITS):
-                return mpmath.mpc(_evaluate(ast.parse(v, mode="eval").body))
-        except _PARSE_ERRORS as exc:
-            raise CharacterTableError(
-                f"bad character value {v[:80]!r}: {exc or type(exc).__name__}"
-            ) from exc
-    raise CharacterTableError(f"bad character value {v!r}")
+        return real, imag
+    if not isinstance(v, (int, float, str)):
+        raise CharacterTableError(f"bad character value {v!r}")
+    try:
+        if isinstance(v, str):
+            return _evaluate(ast.parse(v, mode="eval").body)
+        return _number(v)
+    except _PARSE_ERRORS as exc:
+        raise CharacterTableError(
+            f"bad character value {str(v)[:80]!r}: {exc or type(exc).__name__}"
+        ) from exc
+
+
+def _parse_value(v) -> tuple[int, int]:
+    """v as the Gaussian integer nearest v * 2^PRECISION_BITS."""
+    return _rescaled(_evaluated(v), _W - PRECISION_BITS)
 
 
 def load_character_table(path) -> CharacterTable:
@@ -143,11 +317,10 @@ def load_character_table(path) -> CharacterTable:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise CharacterTableError(f"{path}: invalid JSON: {exc}") from exc
-    with mpmath.workprec(PRECISION_BITS):
-        try:
-            return _validated_table(data, path)
-        except (AttributeError, IndexError, KeyError, TypeError) as exc:
-            raise CharacterTableError(f"{path}: malformed table: {exc!r}") from exc
+    try:
+        return _validated_table(data, path)
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise CharacterTableError(f"{path}: malformed table: {exc!r}") from exc
 
 
 def _validated_table(data, path) -> CharacterTable:
@@ -180,7 +353,7 @@ def _validated_table(data, path) -> CharacterTable:
             f"{path}: first class must be the identity class"
         )
     rows = data["characters"]
-    values = tuple(tuple(_scaled(_parse_value(v)) for v in r) for r in rows)
+    values = tuple(tuple(map(_parse_value, r)) for r in rows)
     one = 1 << PRECISION_BITS
     unit = order * one * one  # |G| <chi,chi> = |G| at the scale 2^(2P)
     degrees = []
@@ -204,13 +377,6 @@ def _validated_table(data, path) -> CharacterTable:
             )
         degrees.append(d)
     return CharacterTable(order, classes, values, tuple(degrees))
-
-
-def _scaled(v: mpmath.mpc) -> tuple[int, int]:
-    return tuple(
-        int(mpmath.nint(mpmath.ldexp(part, PRECISION_BITS)))
-        for part in (v.real, v.imag)
-    )
 
 
 def structure_constant_hat(t: CharacterTable, *class_names: str) -> int:

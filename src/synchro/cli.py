@@ -266,7 +266,7 @@ def cmd_matrep(args) -> tuple[dict, int]:
 
 
 def cmd_chartab(args) -> tuple[dict, int]:
-    from . import chartab  # loads mpmath, which no other subcommand needs
+    from . import chartab  # the value parser, which no other subcommand needs
     t = chartab.load_character_table(_input(args, args.table))
     payload: dict = {"table": args.table, "group_order": t.group_order}
     if args.xi:

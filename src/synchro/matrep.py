@@ -176,12 +176,15 @@ class BitMatrix:
         return g.inverse() * self * g
 
     def order(self, cutoff: int = 10_000) -> int:
-        ident = BitMatrix.identity(2, self.dim)
-        x = self
+        """The least k <= cutoff with self^k = 1: self's tables are built
+        once, and each power's rows map through them to the next's."""
+        ident = tuple(1 << i for i in range(self.dim))
+        times = _times(_subset_xor_tables(self.rows))
+        rows = self.rows
         for k in range(1, cutoff + 1):
-            if x == ident:
+            if rows == ident:
                 return k
-            x = x * self
+            rows = tuple(map(times, rows))
         raise MatrixError(f"order exceeds cutoff {cutoff}")
 
     # -- identity and hashing ---------------------------------------

@@ -68,7 +68,7 @@ def on_generators(compute):
 
 def table1(data_dir):
     """Table 1: xi(2A, 2A, C) as listed, and zero for every other C."""
-    from . import chartab  # loads mpmath, which no other target needs
+    from . import chartab  # the value parser, which no other target needs
     path = require(data_dir, CHARTABLE_FILE)
     t = chartab.load_character_table(path)
     want = expected("structure_constants")

@@ -1,5 +1,9 @@
+import ast
+import hashlib
 import itertools
 import json
+import math
+import operator
 import re
 import subprocess
 import sys
@@ -24,6 +28,7 @@ from synchro.chartab import (
 from synchro.groups import conjugacy_classes, make_group
 
 BUNDLED = ["z2", "s3", "d8", "a4", "s4", "a5"]
+P = chartab.PRECISION_BITS
 
 
 def s3_with_sign_row(tmp_path, row):
@@ -53,6 +58,32 @@ def brute_force_count(g, t, names):
             product = g.mul(product, x)
         count += g.inverses[product] in last
     return count
+
+
+def load_all_in_a_fresh_interpreter(prelude):
+    """Run prelude, then load every bundled table and compute every
+    constant in a fresh interpreter; returns its output, whether sympy
+    was loaded."""
+    src = str(Path(chartab.__file__).parents[1])
+    code = textwrap.dedent(f"""
+        import itertools, sys
+        {prelude}
+        sys.path.insert(0, {src!r})
+        from synchro import chartab
+        for name in {BUNDLED!r}:
+            path = chartab.bundled_table_path(name)
+            t = chartab.load_character_table(path)
+            names = [c.name for c in t.classes]
+            for triple in itertools.product(names, repeat=3):
+                chartab.structure_constant_hat(t, *triple)
+                chartab.structure_constant_xi(t, *triple)
+        print("sympy" in sys.modules)
+    """)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True,
+    )
+    return out.stdout
 
 
 @pytest.fixture(scope="module")
@@ -143,9 +174,10 @@ class TestLoading:
         assert round((1 + 5 ** 0.5) / 2, 6) in vals
 
     def test_root_of_unity_forms_agree(self):
+        # each is the Gaussian integer nearest the same number at 2^P
         omega = _parse_value("exp(2*pi*I/3)")
-        gap = abs(omega - _parse_value("-1/2+sqrt(3)/2*I"))
-        assert gap < mpmath.mpf(2) ** -200
+        assert omega == _parse_value("-1/2+sqrt(3)/2*I")
+        assert omega[0] == -(1 << P - 1)
 
     @pytest.mark.parametrize(
         "value",
@@ -179,9 +211,11 @@ class TestLoading:
 
     def test_real_pair_parts_load(self):
         value = _parse_value(["sqrt(5)/2", "-1/2"])
-        assert abs(value - mpmath.mpc(mpmath.sqrt(5) / 2, -0.5)) < 1e-15
+        with mpmath.workprec(2 * P):
+            re = int(mpmath.nint(mpmath.sqrt(5) / 2 * 2**P))
+        assert value == (re, -(1 << P - 1))
         # a real closed form whose evaluation leaves a rounding residue
-        assert _parse_value(["exp(pi*I)", 0]) == -1
+        assert _parse_value(["exp(pi*I)", 0]) == (-(1 << P), 0)
 
     def test_indicators_ignored(self, tmp_path):
         # no computation reads Frobenius-Schur indicators: any list, even
@@ -196,27 +230,156 @@ class TestLoading:
         assert not hasattr(t, "indicators")
 
     def test_no_sympy_import(self):
-        # a fresh interpreter: loading every bundled table and computing
-        # every constant must not pull sympy in
-        src = str(Path(chartab.__file__).parents[1])
-        code = textwrap.dedent(f"""
-            import itertools, sys
-            sys.path.insert(0, {src!r})
-            from synchro import chartab
-            for name in {BUNDLED!r}:
-                path = chartab.bundled_table_path(name)
-                t = chartab.load_character_table(path)
-                names = [c.name for c in t.classes]
-                for triple in itertools.product(names, repeat=3):
-                    chartab.structure_constant_hat(t, *triple)
-                    chartab.structure_constant_xi(t, *triple)
-            print("sympy" in sys.modules)
-        """)
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            check=True,
-        )
-        assert out.stdout == "False\n"
+        # loading every bundled table and computing every constant must
+        # not pull sympy in
+        assert load_all_in_a_fresh_interpreter("") == "False\n"
+
+    def test_loads_with_mpmath_blocked(self):
+        # the runtime needs no third-party package: with mpmath blocked,
+        # every bundled table loads and every constant is computed
+        prelude = "sys.modules['mpmath'] = None"
+        assert load_all_in_a_fresh_interpreter(prelude) == "False\n"
+
+
+# an oracle for the grammar: the same syntax tree in mpmath, at P + 64
+# bits plus 48 for the size of an argument (|Im| <= 2^40 below) and 256
+# for the size of a value (|value| < 2^P)
+_MP_OPERATORS = {
+    ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Add: operator.add,
+    ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+
+
+def mpmath_value(text):
+    def walk(node):
+        match node:
+            case ast.Constant(x):
+                return mpmath.mpf(x)
+            case ast.Name("I"):
+                return mpmath.j
+            case ast.Name("pi"):
+                return +mpmath.pi
+            case ast.UnaryOp(op, x):
+                return _MP_OPERATORS[type(op)](walk(x))
+            case ast.BinOp(x, op, y):
+                return _MP_OPERATORS[type(op)](walk(x), walk(y))
+            case ast.Call(ast.Name(f), [x], []):
+                return getattr(mpmath, f)(walk(x))
+        raise AssertionError(ast.dump(node))
+
+    with mpmath.workprec(P + 64 + 48 + 256):
+        return mpmath.mpc(walk(ast.parse(text, mode="eval").body))
+
+
+def bundled_values():
+    values = set()
+    for name in BUNDLED:
+        data = json.loads(bundled_table_path(name).read_text())
+        values.update(map(str, itertools.chain(*data["characters"])))
+    return sorted(values)
+
+
+CORPUS = [
+    # sqrt of negative and complex values
+    "sqrt(-2)", "sqrt(-3-4*I)", "sqrt(1e-20*I)", "sqrt(-7+0.1*I)",
+    "sqrt(-7-0.1*I)", "sqrt(12345678901)",
+    # exp, with |Im| up to 2^40 and a large real part
+    "exp(2*pi*I/37)", "exp(2**40*I)", "exp(-(2**40)*I)", "exp(2**40*I+3)",
+    "exp(1e6*pi*I/7)", "exp(100+I)", "exp(-100)", "exp(-3+2*I)",
+    "exp(0.5)", "exp(-2*pi*I/62)",
+    # ** with integer, negative, fractional and complex exponents
+    "2**-3", "(1+I)**7", "(2-I)**-5", "sqrt(2)**10", "3**0.5",
+    "(-8)**(1/3)", "I**I", "(1+2*I)**(0.5-I)", "2**(1/12)", "10**-0.25",
+    "0.5**100.5", "(-1)**(1/62)", "7**(3+4*I)", "(3-I)**(-2.5)",
+    "exp(2*pi*I/62)**31", "(2**200)**0.5", "(2**-200)**(1/3)",
+    "(2**-250*(1-3*I))**(0.25+I)", "(-(2**-100))**-1.5",
+    # floats and multiples of pi
+    "1.5", "0.1", "1e-30", "12345.678", "-2.5e3", "3*pi", "pi/7",
+    "-2.5*pi*I", "1e6*pi",
+]
+
+
+class TestEvaluator:
+    @pytest.mark.parametrize("text", bundled_values() + CORPUS)
+    def test_agrees_with_mpmath(self, text):
+        # the value is the Gaussian integer nearest text * 2^P: each part
+        # is within half a unit (and the evaluator's 2^-16 more)
+        want = mpmath_value(text)
+        got = _parse_value(text)
+        with mpmath.workprec(P + 64 + 48 + 256):
+            for g, w in zip(got, (want.real, want.imag)):
+                assert abs(g - mpmath.ldexp(w, P)) <= 0.5 + 2**-16, text
+
+    @pytest.mark.parametrize(
+        "text, gain",
+        [("1/3*1e30", 1e30), ("exp(100+1/3)", math.exp(100 + 1 / 3)),
+         ("1/(1/3-0.333333333333)", 1 / (1 / 3 - 0.333333333333) ** 2)],
+    )
+    def test_error_follows_the_derivative(self, text, gain):
+        # fixed point: a subexpression is held to 2^-W, not to a share of
+        # its size, so where the value's derivative in a rounded input
+        # (here 1/3) is large, that input's rounding comes through times
+        # the derivative
+        want = mpmath_value(text)
+        got = _parse_value(text)
+        bound = 0.5 + 2**-16 + gain * 2.0 ** (P - chartab._W)
+        with mpmath.workprec(P + 64 + 48 + 256):
+            errors = [abs(g - mpmath.ldexp(w, P))
+                      for g, w in zip(got, (want.real, want.imag))]
+        assert max(errors) <= bound
+        assert max(errors) > 0.5 + 2**-16  # not the nearest at 2^P
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 37, 62, 1000])
+    def test_roots_of_unity(self, n):
+        re, im = _parse_value(f"exp(2*pi*I/{n})**{n}")
+        assert abs(re - (1 << P)) <= 1 << 8 and abs(im) <= 1 << 8
+
+    @pytest.mark.parametrize(
+        "x", ["2", "5", "-3", "1+I", "-7-2*I", "0.1", "1e-30", "123456789",
+              "-1e20*I", "exp(2*pi*I/37)"]
+    )
+    def test_square_roots(self, x):
+        got = _parse_value(f"sqrt({x})**2")
+        want = _parse_value(x)
+        assert all(abs(g - w) <= 1 << 8 for g, w in zip(got, want))
+
+    def test_bundled_tables_bit_identical(self):
+        # sha256 of repr((values, degrees)) for each bundled table, as
+        # the mpmath parser loaded them
+        golden = {
+            "z2": "a12c76dbe95c2e20a0038d9e681aa29edc6f40e9f5d4eaa423572606828dde2e",
+            "s3": "554486369453e1c0972846c6ea1b14ea3eb2639411926e97af8278ae0ae131a5",
+            "d8": "5d7b370a839613bf6c14b2e9a518c7a8adfc8c491888010b038c787522b5e886",
+            "a4": "5277654d32df5a3d580f2f82f18ffc4416a5c1df6fe99055c396a5b8edfd3764",
+            "s4": "c0ca47ca1c46529e9345940817d75345a482a3d61d5a4b515ddd0354fc00643d",
+            "a5": "aab11a682fed55da3df4618c9199fb6235f2e567471adb8e5edcb3a945ac9259",
+        }
+        for name in BUNDLED:
+            t = load_character_table(bundled_table_path(name))
+            digest = hashlib.sha256(repr((t.values, t.degrees)).encode())
+            assert digest.hexdigest() == golden[name], name
+
+    @pytest.mark.parametrize(
+        "text, ok",
+        [("2**239", True), ("2**240", False), ("-(2**240)*I", False),
+         ("exp(166)", True), ("exp(167)", False), ("0.5**-240", False),
+         ("9.5**(9**9+0.5)", False), ("(2**200)**(3/2)", False),
+         ("1e999", False), ("0**0", True), ("0**-1", False),
+         ("0**(-0.5)", False),
+         # |x| within 2^-44 of 1: the partial powers, not a float
+         # estimate of |x|^n, must stop these
+         ("(1+2**-50)**(2**239)", False), ("(1+2**-50)**(2.0**239)", False),
+         ("(1+2**-280)**(2**239)", True), ("(1-2**-50)**(2**239)", True),
+         ("(I*(1+2**-50))**-(2**239)", True)],
+    )
+    def test_magnitude_bound(self, text, ok):
+        # no subexpression may reach 2^P in absolute value
+        if ok:
+            _parse_value(text)
+        else:
+            with pytest.raises(CharacterTableError, match="bad character"):
+                _parse_value(text)
 
 
 class TestSpotValues:
@@ -279,15 +442,15 @@ class TestSpotValues:
 class TestOracleAgreement:
     @pytest.mark.parametrize("name", ["s3", "d8", "a4", "s4", "a5"])
     def test_formula_matches_brute_force(self, name, monkeypatch):
+        monkeypatch.setitem(sys.modules, "mpmath", None)
         g = make_group(name)
         t = load_character_table(bundled_table_path(name))
 
-        # mpmath parses and norm-checks at load; no constant touches it
-        class NoMpmath:
-            def __getattr__(self, attr):
-                raise AssertionError(f"mpmath.{attr} used after load")
+        # values are parsed and norm-checked at load; no constant parses
+        def no_parse(v):
+            raise AssertionError(f"value {v!r} parsed after load")
 
-        monkeypatch.setattr(chartab, "mpmath", NoMpmath())
+        monkeypatch.setattr(chartab, "_evaluated", no_parse)
         table, classing = brute_force_structure_constants(g)
         mapping = match_classes(t, classing, g)
         k = len(t.classes)

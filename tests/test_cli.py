@@ -548,7 +548,8 @@ class TestErrorPaths:
         assert run(capsys, "nonsense-command")[0] == 2
 
     def test_cli_import_leaves_mpmath_unloaded(self):
-        # a fresh interpreter: only `chartab` and `reproduce table1` load it
+        # a fresh interpreter: only `chartab` and `reproduce table1` import
+        # the chartab module, and nothing imports mpmath
         src = str(Path(cli.__file__).parents[1])
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import synchro.cli; "

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import random
 import re
 import subprocess
@@ -135,6 +136,19 @@ class TestBitMatrix:
     def test_order_matches_permutation_order(self):
         p = parse_permutation("(0 1)(2 3 4)", 5)
         assert perm_matrix(p).order() == 6
+        # dense conjugates: orders 1, 2, 4, 15 at dim 8 (a 37-cycle and
+        # cycles 3 + 4 + 5 need more points), and 1, 2, 4, 37, 60 at 112
+        cycle_types = {8: [[], [2], [4], [3, 5]],
+                       112: [[], [2], [4], [37], [3, 4, 5]]}
+        for dim, types in cycle_types.items():
+            rng = random.Random(dim)
+            c = random_invertible(rng, dim)
+            for lengths in types:
+                points = iter(rng.sample(range(dim), sum(lengths)))
+                cycles = [[next(points) for _ in range(n)] for n in lengths]
+                p = Permutation.from_cycles(cycles, dim)
+                want = math.lcm(*lengths)
+                assert perm_matrix(p).conjugate_by(c).order() == want
 
     def test_order_cutoff(self):
         p = parse_permutation("(0 1 2 3 4)", 5)
@@ -498,13 +512,16 @@ class TestOrbitClosure:
         # multiple of the 8-row table chunks
         c = random_invertible(random.Random(dim), dim)
         cycle = "(" + " ".join(map(str, range(points))) + ")"
-        seed, *conj = (
-            perm_matrix(parse_permutation(w, dim)).conjugate_by(c)
-            for w in ("(0 1)", "(0 1)", cycle)
-        )
-        orbit = orbit_closure(seed, conj)
-        assert len(orbit) == points * (points - 1) // 2
-        assert orbit == naive_closure(seed, conj)
+        adjacent = [f"({i} {i + 1})" for i in range(points - 1)]
+        # conjugator sets of mixed orders, all involutions, and none
+        for words in (["(0 1)", cycle], adjacent, [cycle, "(0 1 2)"]):
+            seed, *conj = (
+                perm_matrix(parse_permutation(w, dim)).conjugate_by(c)
+                for w in ("(0 1)", *words)
+            )
+            orbit = orbit_closure(seed, conj)
+            assert len(orbit) == points * (points - 1) // 2
+            assert orbit == naive_closure(seed, conj)
 
     def test_streaming_holds_the_frontier_not_the_orbit(self):
         # 378 transpositions at dim 28: a streaming count keeps the queue
