@@ -2,8 +2,9 @@
 
 Tables are data files (JSON): class data plus character rows whose
 values are numbers, [re, im] pairs, or strings in a closed grammar (int
-and float literals, unary + -, binary + - * / **, the names I and pi,
-one-argument sqrt and exp), e.g. "(1+sqrt(5))/2" or "exp(2*pi*I/3)".
+and float literals, unary + -, binary + - * /, ** with an integer
+exponent, the names I and pi, one-argument sqrt and exp), e.g.
+"(1+sqrt(5))/2" or "exp(2*pi*I/3)".
 Strings are evaluated by a walk over their syntax tree, nothing else,
 and no subexpression may reach 2^PRECISION_BITS in absolute value.
 Both parts of an [re, im] pair must be real, up to 2^-(PRECISION_BITS/2).
@@ -12,9 +13,8 @@ Arithmetic, 2010, ch. 4): a value is a Gaussian integer z standing for
 z / 2^W, W = PRECISION_BITS + 48 guard bits.  + - * / round at 2^-W;
 sqrt takes the principal branch through math.isqrt; pi is Machin's
 formula; exp reduces Im z mod 2 pi, with pi carried to the bits of the
-multiple, and squares a Taylor series of z / 2^h h times; x ** n for an
-integer n is by squaring, each partial power held to the bound, and other
-powers are exp(y log x), log by Newton's method from cmath's value.
+multiple, and squares a Taylor series of z / 2^h h times; x ** n is by
+squaring, each partial power held to the bound.
 Every later step, the load's checks included, is on integers, so the
 package needs nothing outside the standard library.
 A brute-force counter over an explicit group is the formulas' oracle.
@@ -31,10 +31,10 @@ chi(1)^(n-2), the sum is formed exactly as sum_chi prod_i x_i *
 rounded once, behind a realness and an integrality guard (both 1e-3);
 xi = count / |G|.  The load's rounding is the only inexact step.
 
-Error bound.  Each step of the walk rounds at 2^-W, and exp, log and
-** work at more bits inside, so a parsed value is off by a few units of
-2^-W times its derivative in its rounded inputs (a literal such as 1/3,
-or pi).  While that derivative stays below 2^38, as it does for the
+Error bound.  Each step of the walk rounds at 2^-W, and exp works at
+more bits inside, so a parsed value is off by a few units of 2^-W
+times its derivative in its rounded inputs (a literal such as 1/3, or
+pi).  While that derivative stays below 2^38, as it does for the
 sums and products of surds and roots of unity character values are
 written in, the 48 guard bits keep the parse within 2^-(P+8), and the
 load's rounding adds at most 2^-P / sqrt(2).  Let every stored x / 2^P
@@ -53,7 +53,6 @@ trips them: they fire only on a table that is not a character table.
 from __future__ import annotations
 
 import ast
-import cmath
 import functools
 import itertools
 import json
@@ -96,7 +95,7 @@ class CharacterTable:
 
 
 # A value z = (re, im) stands for (re + i im) / 2^bits; the grammar is
-# evaluated at bits = _W, and exp, log and ** work finer inside.
+# evaluated at bits = _W, and exp works finer inside.
 _W = PRECISION_BITS + 48
 _REAL_TOLERANCE = 1 << _W - PRECISION_BITS // 2
 _LOG2_E = 1 / math.log(2)
@@ -117,14 +116,13 @@ def _quotient(n: int, d: int) -> int:
 
 
 def _rescaled(z, k: int):
-    """z at scale 2^(bits - k) from z at scale 2^bits: k >= 0 rounds."""
-    return (_shift(z[0], k), _shift(z[1], k)) if k >= 0 else (
-        z[0] << -k, z[1] << -k)
+    """z at scale 2^(bits - k) from z at scale 2^bits, rounded; k >= 0."""
+    return _shift(z[0], k), _shift(z[1], k)
 
 
-def _bounded(z, bits=_W):
+def _bounded(z):
     """z, if |z| < 2^PRECISION_BITS."""
-    if z[0] ** 2 + z[1] ** 2 >= 1 << 2 * (bits + PRECISION_BITS):
+    if z[0] ** 2 + z[1] ** 2 >= 1 << 2 * (_W + PRECISION_BITS):
         raise ValueError(f"magnitude exceeds 2^{PRECISION_BITS}")
     return z
 
@@ -140,11 +138,11 @@ def _mul(z, w, bits=_W):
     return _shift(a * c - b * d, bits), _shift(a * d + b * c, bits)
 
 
-def _div(z, w, bits=_W):
+def _div(z, w):
     (a, b), (c, d) = z, w
     den = c * c + d * d
-    return (_quotient(a * c + b * d << bits, den),
-            _quotient(b * c - a * d << bits, den))
+    return (_quotient(a * c + b * d << _W, den),
+            _quotient(b * c - a * d << _W, den))
 
 
 @functools.cache
@@ -166,26 +164,26 @@ def _pi(bits: int) -> int:
     return _shift(16 * atan_inv(5) - 4 * atan_inv(239), guard)
 
 
-def _exp(z, bits=_W):
+def _exp(z):
     """exp z.  Im z loses its nearest multiple k of 2 pi, with pi carried
     to the bits of k; z / 2^h, |z / 2^h| < 2^-10, is summed as a Taylor
     series and squared h times.  The work is at g bits, enough for the
-    h squarings and the size of the result to leave a unit of 2^-bits."""
+    h squarings and the size of the result to leave a unit of 2^-_W."""
     x, y = z
-    e = x / (1 << bits) * _LOG2_E  # log2 |exp z|
+    e = x / (1 << _W) * _LOG2_E  # log2 |exp z|
     if e > PRECISION_BITS + 1:
         raise ValueError(f"magnitude exceeds 2^{PRECISION_BITS}")
-    if e < -bits - 1:
+    if e < -_W - 1:
         return 0, 0
-    h = ((abs(x) >> bits) + 4).bit_length() + 10  # |z| <= |x| + pi after
-    g = bits + h + max(0, math.ceil(e)) + 10
-    kb = (abs(y) >> bits).bit_length() + 1
+    h = ((abs(x) >> _W) + 4).bit_length() + 10  # |z| <= |x| + pi after
+    g = _W + h + max(0, math.ceil(e)) + 10
+    kb = (abs(y) >> _W).bit_length() + 1
     fine = g - h + kb
     tau = 2 * _pi(fine)
-    y = y << fine - bits
+    y = y << fine - _W
     y -= _quotient(y, tau) * tau
     # (x, y) at scale 2^(g - h) is z / 2^h at scale 2^g
-    c, d = x << g - h - bits, _shift(y, kb)
+    c, d = x << g - h - _W, _shift(y, kb)
     term = total = 1 << g, 0
     n = 0
     while term != (0, 0):  # term = (z / 2^h)^n / n!
@@ -195,66 +193,41 @@ def _exp(z, bits=_W):
         total = total[0] + term[0], total[1] + term[1]
     for _ in range(h):
         total = _mul(total, total, g)
-    return _rescaled(total, g - bits)
+    return _rescaled(total, g - _W)
 
 
-def _log(z, bits):
-    """The principal log of z != 0, by Newton's method
-    w -> w - 1 + z / exp w from cmath's value, which is good to 2^-44 and
-    picks the branch; each step doubles the good bits.  A small z is
-    worked on at as many more bits as it has leading zeros, so that
-    z / exp w keeps `bits` significant bits."""
-    seed = cmath.log(complex(*z) / (1 << bits))
-    fine = max(bits, 2 * bits - max(map(abs, z)).bit_length())
-    z = _rescaled(z, bits - fine)
-    w = round(math.ldexp(seed.real, fine)), round(math.ldexp(seed.imag, fine))
-    for _ in range((fine // 45).bit_length()):
-        q = _div(z, _exp(w, fine), fine)
-        w = w[0] + q[0] - (1 << fine), w[1] + q[1]
-    return _rescaled(w, fine - bits)
+def _pow(x, y):
+    """x ** y for an integer y, by squaring."""
+    one = 1 << _W
+    if y[1] or y[0] % one:
+        raise ValueError("** needs an integer exponent")
+    n = y[0] >> _W
+    if n < 0:
+        x, n = _div((one, 0), x), -n
+    if x == (0, 0) or n == 0:
+        return (0 if n else one), 0
+    # each partial power is bounded, as 9**9**9**9 or
+    # (1+2**-50)**(2**239) would otherwise not finish: for |x| >= 1
+    # it is at most |x|^n, and for |x| < 1 at most 1
+    out = x
+    for bit in bin(n)[3:]:  # the bits below the leading one
+        out = _bounded(_mul(out, out))
+        if bit == "1":
+            out = _bounded(_mul(out, x))
+    return out
 
 
-def _pow(x, y, bits=_W):
-    """x ** y: by squaring for an integer y, else exp(y log x), with
-    log's principal branch, at 16 more bits than the size of the result
-    asks for."""
-    one = 1 << bits
-    if y[1] == 0 and y[0] % one == 0:
-        n = y[0] >> bits
-        if n < 0:
-            x, n = _div((one, 0), x, bits), -n
-        if x == (0, 0) or n == 0:
-            return (0 if n else one), 0
-        # each partial power is bounded, as 9**9**9**9 or
-        # (1+2**-50)**(2**239) would otherwise not finish: for |x| >= 1
-        # it is at most |x|^n, and for |x| < 1 at most 1
-        out = x
-        for bit in bin(n)[3:]:  # the bits below the leading one
-            out = _bounded(_mul(out, out, bits), bits)
-            if bit == "1":
-                out = _bounded(_mul(out, x, bits), bits)
-        return out
-    if x == (0, 0):
-        if y[0] > 0:
-            return 0, 0
-        raise ZeroDivisionError("0 to a power with real part <= 0")
-    size = (complex(*y) * cmath.log(complex(*x) / one)).real / one * _LOG2_E
-    fine = bits + 16 + min(max(0, math.ceil(size)), PRECISION_BITS + 2)
-    x, y = _rescaled(x, bits - fine), _rescaled(y, bits - fine)
-    return _rescaled(_exp(_mul(y, _log(x, fine), fine), fine), fine - bits)
-
-
-def _sqrt(z, bits=_W):
+def _sqrt(z):
     """The principal square root, through math.isqrt: the larger of
     |Re|, |Im| of the root from (|z| +- Re z) / 2, the other from it."""
     a, b = z
     r = math.isqrt(a * a + b * b)
     if a >= 0:
-        u = math.isqrt(r + a << bits - 1)
-        return (u, _quotient(b << bits, 2 * u)) if u else (0, 0)
-    v = math.isqrt(r - a << bits - 1)
+        u = math.isqrt(r + a << _W - 1)
+        return (u, _quotient(b << _W, 2 * u)) if u else (0, 0)
+    v = math.isqrt(r - a << _W - 1)
     v = -v if b < 0 else v
-    return _quotient(b << bits, 2 * v), v
+    return _quotient(b << _W, 2 * v), v
 
 
 _UNARY = {ast.UAdd: lambda z: z, ast.USub: lambda z: (-z[0], -z[1])}

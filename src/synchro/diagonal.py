@@ -25,6 +25,7 @@ from .mapping import CompleteMapping, verify_complete_mapping
 
 # largest vertex set a colouring is tabulated for: |T|^(n-1) entries
 MAX_COLORED_VERTICES = 10**7
+MAX_N = 1000  # |T|^(n-1) stays printable: 3497 digits at |T| = 3162
 
 
 class DiagonalError(ValueError):
@@ -37,8 +38,8 @@ class DiagonalGraph:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise DiagonalError("need n >= 2")
+        if not 2 <= self.n <= MAX_N:
+            raise DiagonalError(f"need 2 <= n <= {MAX_N}, not {self.n}")
 
     @property
     def num_vertices(self) -> int:

@@ -119,16 +119,14 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     """Parse a cycle literal such as '(0 1)(2 3)'; '' and '()' are the
     identity.  The degree defaults to one past the largest point."""
     text = text.strip()
-    if text.startswith("(") or text == "":
-        cycles = [
-            tuple(int(t) for t in re.split(r"[,\s]+", body.strip()) if t)
-            for body in re.findall(r"\(([^()]*)\)", text)
-        ]
-        cycles = [c for c in cycles if c]
-        if degree is None:
-            degree = max((max(c) for c in cycles), default=-1) + 1
-        return Permutation.from_cycles(cycles, degree)
-    raise GroupFormatError(f"unrecognized permutation literal: {text!r}")
+    if not re.fullmatch(r"(?:\([\d\s,]*\)\s*)*", text):
+        raise GroupFormatError(f"unrecognized permutation literal: {text!r}")
+    cycles = [tuple(map(int, re.findall(r"\d+", c))) for c in text.split(")")]
+    if any(len(set(c)) < len(c) for c in cycles):
+        raise GroupFormatError(f"a point repeats in a cycle of {text!r}")
+    if degree is None:
+        degree = max((max(c, default=-1) for c in cycles), default=-1) + 1
+    return Permutation.from_cycles(cycles, degree)
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,15 @@ class TestDiagonal:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "colouring cap" in err
 
+    @pytest.mark.parametrize("n", ["1001", "100000000"])
+    def test_n_above_the_cap_exits_2(self, capsys, n):
+        # the vertex count |T|^(n-1) is exact, so a huge n would take
+        # seconds to form it and then fail to print it
+        code, out, err = run(capsys, "diagonal", "--group", "s3", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: need 2 <= n <= 1000, not {n}\n"
+
     @pytest.mark.parametrize("n", ["4", "5"])
     def test_colour_flags_conflict(self, capsys, n):
         code, out, err = run(capsys, "diagonal", "--group", "z5", "--n", n,
@@ -515,6 +524,7 @@ ENTRY_POINT_ERRORS = {
         ".write_text('x') and -1"
     )),
     "imaginary-pair-part": (2, lambda tmp: table_with_value(tmp, ["1", "I"])),
+    "non-integer-exponent": (2, lambda tmp: table_with_value(tmp, "2**0.5")),
     "colouring-of-2^79-vertices": (
         2, lambda tmp: ["diagonal", "--group", "z2", "--n", "80", "--color-even"]
     ),

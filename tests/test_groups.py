@@ -73,6 +73,10 @@ class TestPermutation:
         # a point in two cycles: not a bijection
         with pytest.raises(GroupFormatError):
             parse_permutation("(0 1)(1 2)", 3)
+        # an unclosed cycle, a repeated point, text between cycles
+        for text in ["(0 1", "(0 0)", "(0 1)x(2 3)"]:
+            with pytest.raises(GroupFormatError):
+                parse_permutation(text, 4)
 
 
 class TestClosure:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -376,6 +377,28 @@ class TestRank20Expansion:
         ]
         assert [r["self_entry"] for r in report] == expected["self_in_square"]
         assert all(r["inverse_in_square"] and r["self_in_square"] for r in report)
+
+
+class TestTablesAgree:
+    """Table 1's scaled xi(2A, 2A, C) |C(2A)| counts the y in 2A with ay
+    in C; Table 2 counts the same y by orbitals of product class C."""
+
+    def test_scaled_constants_are_suborbit_sums(self):
+        sums = Counter()
+        for o in reproduce.orbital_metadata():
+            sums[o["product_class"]] += o["s1"]
+        rows = reproduce.expected("structure_constants")["rows"]
+        assert {r["class"]: r["scaled"] for r in rows} == dict(sums)
+        assert sum(sums.values()) == 3_980_549_947  # |2A|
+
+    def test_printed_matrices_satisfy_the_cross_identity(self, rank20_fixture):
+        # s_4 (A2)_{4,k} = s_2 (A4)_{2,k*}: 1-based, k* paired with k
+        a2, a4, meta = rank20_fixture
+        s = [o["s1"] for o in meta]
+        pair = [o["pair"] - 1 for o in meta]
+        assert [s[3] * x for x in a2[3]] == [
+            s[1] * a4[1][pair[k]] for k in range(20)
+        ]
 
 
 class TestWilcoxSemantics:
