@@ -18,8 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, diagonal, groups, mapping, matrep
-from . import orbitals, reproduce, witness
+from . import __version__, diagonal, groups, mapping, reproduce, witness
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -211,6 +210,7 @@ def cmd_witness(args) -> tuple[dict, int]:
 
 
 def cmd_orbitals(args) -> tuple[dict, int]:
+    from . import orbitals  # so that importing cli loads only what runs
     # every group is a multiplication table, acting right-regularly
     perm_g = groups.regular_perm_group(_load_group(args.group, args))
     dec = orbitals.orbital_decomposition(perm_g, args.base)
@@ -236,6 +236,7 @@ def cmd_orbitals(args) -> tuple[dict, int]:
 
 
 def cmd_matrep(args) -> tuple[dict, int]:
+    from . import matrep
     mats = matrep.parse_matrix_file(_input(args, args.gens))
     if len(mats) < 2:
         raise matrep.MatrixError("generator file must contain two matrices")

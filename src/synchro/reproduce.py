@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from . import matrep, orbitals
-
 DATA_DIR = Path(__file__).parent / "data"
 GENS_FILE = "j4_112_f2_gens.txt"
 CHARTABLE_FILE = "j4_characters.json"
@@ -53,6 +51,7 @@ def on_generators(compute):
     if one fails, its payload lists them with "ok" false."""
 
     def target(data_dir):
+        from . import matrep  # each target loads what it runs
         path = require(data_dir, GENS_FILE)
         mats = matrep.parse_matrix_file(path)
         if len(mats) < 2:
@@ -91,6 +90,7 @@ def table1(data_dir):
 @on_generators
 def table2(a, b):
     """Table 2: the 20 fingerprints, and orbit sizes 1386 and 18480."""
+    from . import matrep
     env = matrep.standard_environment(a, b)
     meta = orbital_metadata()
     conj = [a.conjugate_by(matrep.eval_word(env, o["rep_word"])) for o in meta]
@@ -112,6 +112,7 @@ def collapsed(i: int):
     under the centralizer words and classified by the metadata's
     fingerprints; duplicate fingerprints and an index out of range are
     refused here, before any word is evaluated."""
+    from . import matrep
     meta = orbital_metadata()
     table = {tuple(o["fingerprint"]): k for k, o in enumerate(meta)}
     if len(table) < len(meta):
@@ -155,6 +156,7 @@ def _against_print(name: str, a, b):
 @on_generators
 def entry_lists(a, b):
     """A2 and A4 as printed, then the double-coset entry lists."""
+    from . import orbitals
     mats = {"A2": collapsed(1)(a, b), "A4": collapsed(3)(a, b)}
     if failed := _failures(mats):
         return {"ok": False, **failed}

@@ -570,6 +570,20 @@ class TestErrorPaths:
         )
         assert out.stdout == "False False\n"
 
+    def test_cli_import_leaves_matrep_and_orbitals_unloaded(self):
+        # a fresh interpreter: `matrep`, `orbitals` and `reproduce`'s
+        # targets import them when they run, not when cli loads
+        src = str(Path(cli.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import synchro.cli; "
+            "print('synchro.matrep' in sys.modules, "
+            "'synchro.orbitals' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "False False\n"
+
     def test_unknown_group(self, capsys):
         code, _, err = run(capsys, "complete-mapping", "--group", "monster")
         assert code == 2

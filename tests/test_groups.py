@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import math
 
@@ -241,6 +243,159 @@ class TestCatalog:
     def test_make_group_rejects_unknown(self):
         with pytest.raises(GroupFormatError):
             make_group("monster")
+
+
+def all_pairs(elements, mul, gens):
+    """(table, generators, identity) with every product taken through the
+    family's own arithmetic: the reference `_from_elements` is held to."""
+    index = {e: i for i, e in enumerate(elements)}
+    table = tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)
+    return table, tuple(sorted(index[s] for s in gens)), 0
+
+
+def ref_cyclic(n):
+    return all_pairs(range(n), lambda a, b: (a + b) % n, [1 % n] * (n > 1))
+
+
+def ref_dihedral(order):
+    n = order // 2
+    elements = [(i, s) for i in range(n) for s in (0, 1)]
+
+    def mul(a, b):
+        (i, s), (j, t) = a, b
+        return ((i - j) % n if s else (i + j) % n, s ^ t)
+
+    return all_pairs(elements, mul, [(1 % n, 0), (0, 1)])
+
+
+def ref_permutations(n, even):
+    elements = [Permutation(p) for p in itertools.permutations(range(n))]
+    # an n-cycle, or for A_n with n even the (n-1)-cycle on 1..n-1
+    start = int(even and n % 2 == 0)
+    long_cycle = "(" + " ".join(map(str, range(start, n))) + ")"
+    if even:
+        elements = [
+            p for p in elements if sum(len(c) - 1 for c in p.cycles()) % 2 == 0
+        ]
+        cycles = ["(0 1 2)", long_cycle][: max(n - 2, 0)]
+    else:
+        cycles = ["(0 1)", long_cycle][: max(n - 1, 0)]
+    gens = [parse_permutation(c, n) for c in cycles]
+    return all_pairs(elements, lambda a, b: a * b, gens)
+
+
+def ref_elementary(p, k):
+    elements = list(itertools.product(range(p), repeat=k))
+    gens = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    return all_pairs(
+        elements, lambda a, b: tuple((x + y) % p for x, y in zip(a, b)), gens
+    )
+
+
+def ref_quaternion():
+    # Hamilton's product on coefficient 4-tuples (1, i, j, k)
+    def mul(x, y):
+        a1, b1, c1, d1 = x
+        a2, b2, c2, d2 = y
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
+
+    units = [tuple(int(i == axis) for i in range(4)) for axis in range(4)]
+    elements = [tuple(sign * x for x in u) for u in units for sign in (1, -1)]
+    return all_pairs(elements, mul, [units[1], units[2]])
+
+
+def ref_product(g, h):
+    (gt, gg, ge), (ht, hg, he) = g, h
+    elements = sorted(
+        ((a, b) for a in range(len(gt)) for b in range(len(ht))),
+        key=lambda e: (e != (ge, he), e[0] + e[1], e[0]),
+    )
+    gens = [(a, he) for a in gg] + [(ge, b) for b in hg]
+    return all_pairs(
+        elements, lambda x, y: (gt[x[0]][y[0]], ht[x[1]][y[1]]), gens
+    )
+
+
+REFERENCES = {
+    **{f"z{n}": functools.partial(ref_cyclic, n) for n in range(1, 31)},
+    **{f"d{n}": functools.partial(ref_dihedral, n) for n in range(2, 41, 2)},
+    **{f"s{n}": functools.partial(ref_permutations, n, False)
+       for n in range(1, 6)},
+    **{f"a{n}": functools.partial(ref_permutations, n, True)
+       for n in range(1, 7)},
+    **{f"elementary 2 {k}": functools.partial(ref_elementary, 2, k)
+       for k in range(1, 7)},
+    **{f"elementary 3 {k}": functools.partial(ref_elementary, 3, k)
+       for k in range(1, 4)},
+    "klein": functools.partial(ref_elementary, 2, 2),
+    "q8": ref_quaternion,
+}
+
+
+class TestTableOracle:
+    """Every catalog table against the all-pairs reference, and the tables
+    too large for it against sha256 goldens of the all-pairs tables."""
+
+    @pytest.mark.parametrize("spec", list(REFERENCES))
+    def test_catalog_matches_all_pairs(self, spec):
+        g = make_group(spec)
+        assert (g.table, g.generators, g.identity) == REFERENCES[spec]()
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["z2 x s3", "s3 x z2", "q8 x klein", "a4 x z3 x d4", "d6 x a1",
+         "FILE x z4", "z2 x FILE", "FILE x FILE", "q8 x FILE x elementary 3 1"],
+    )
+    def test_products_match_all_pairs(self, spec, tmp_path):
+        # the file holds s3 relabelled so that its identity is element 5
+        # and its generators are the ones its associativity check found
+        s3 = REFERENCES["s3"]()[0]
+        table = [[5 - s3[5 - a][5 - b] for b in range(6)] for a in range(6)]
+        path = tmp_path / "s3.grp"
+        write_group_file(FiniteGroup(6, table, ()), path)
+        f = read_group_file(path)
+        assert f.identity == 5
+        factors = [
+            (f.table, f.generators, f.identity) if name == "FILE"
+            else REFERENCES[name]()
+            for name in spec.split(" x ")
+        ]
+        g = make_group(spec.replace("FILE", str(path)))
+        want = functools.reduce(ref_product, factors)
+        assert (g.table, g.generators, g.identity) == want
+
+    # sha256 of repr((table, generators)), as the all-pairs build made them
+    GOLDENS = {
+        "s6": "eddfb0b74aee85e047ff55f79a1d47b408567cc5d85ea28f1dd6950534307ecb",
+        "a6": "a4df26cbd17d91ec22be2c3c22db08b527c6428abc4c51e4ca4f91ce3e6fbb6f",
+        "z2 x s5":
+            "4a556c463cb9de19a3d9700b03cc9c2a496ad1da5724d8a466d9f203275af472",
+        "elementary 3 7":
+            "bd6bdb360c7e5108076f2735fbb6e50a9252bbbdb6dbd1aa9a3bed3c5b3d69c8",
+    }
+
+    @pytest.mark.parametrize("spec", list(GOLDENS))
+    def test_golden_tables(self, spec):
+        g = make_group(spec)
+        got = hashlib.sha256(repr((g.table, g.generators)).encode())
+        assert got.hexdigest() == self.GOLDENS[spec]
+
+    def test_generators_that_miss_an_element(self):
+        add = lambda a, b: (a + b) % 4  # noqa: E731
+        with pytest.raises(GroupFormatError, match="reach 2 of 4"):
+            groups._from_elements(list(range(4)), add, [2])
+        with pytest.raises(GroupFormatError, match="reach 1 of 4"):
+            groups._from_elements(list(range(4)), add, [])
+
+    def test_element_0_must_be_the_identity(self):
+        # z3 listed from 1: every table entry is defined, but 1 + 1 != 1
+        with pytest.raises(GroupFormatError, match="not the identity"):
+            groups._from_elements([1, 0, 2], lambda a, b: (a + b) % 3, [1])
 
 
 class TestConjugacyClasses:
