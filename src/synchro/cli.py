@@ -30,7 +30,7 @@ EXIT_RESOURCE = 4
 def _input(args, path):
     """Record an input file for the manifest and return its path, for the
     caller to read now.  The digest is taken here, so a later --output or
-    --emit-* write to the same path cannot change it."""
+    --emit-witness write to the same path cannot change it."""
     if args.manifest and Path(path).is_file():
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         args.inputs[str(path)] = digest
@@ -87,11 +87,6 @@ def cmd_complete_mapping(args) -> tuple[dict, int]:
     }
     if result.mapping is not None:
         payload["phi"] = list(result.mapping.phi)
-        if args.emit_mapping:
-            Path(args.emit_mapping).write_text(
-                json.dumps({"phi": list(result.mapping.phi)}, sort_keys=True)
-                + "\n"
-            )
     exhausted = result.status is mapping.SearchStatus.BUDGET_EXHAUSTED
     return payload, EXIT_VERIFY if exhausted else EXIT_OK
 
@@ -298,6 +293,14 @@ def cmd_reproduce(args) -> tuple[dict, int]:
 # argument parsing
 
 
+def budget(text: str) -> int:
+    # 0 is a budget: odd orders and the balance condition decide at the root
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="synchro",
@@ -312,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complete-mapping", help="search for a complete mapping")
     p.add_argument("--group", required=True)
-    p.add_argument("--budget", type=int, default=mapping.DEFAULT_BUDGET)
-    p.add_argument("--emit-mapping")
+    p.add_argument("--budget", type=budget, default=mapping.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_complete_mapping)
 
     p = sub.add_parser("diagonal", help="diagonal-group graph and colourings")

@@ -145,10 +145,11 @@ def intersection_algebra_expand(a_p, a_q, rank: int):
 
     Row 0 of sum_k c_k A_k is (c_k s_k)_k, with s_k the k-th subdegree,
     so first rows are faithful coordinates.  The span of {I, A_p, A_q}
-    is closed under products with A_p and A_q on both sides, on first
-    rows modulo P = 2^61 - 1.  For each k the element whose first row
-    is e_k is solved for, scaled so its single first-column entry is 1,
-    and lifted symmetrically to Z.
+    is closed under left multiplication by A_p and A_q, on first rows
+    modulo P = 2^61 - 1; every word in them is a left product of I, so
+    right-hand products add nothing.  For each k the element whose
+    first row is e_k is solved for, scaled so its single first-column
+    entry is 1, and lifted symmetrically to Z.
 
     The lift is certified with integer products: A_0 = I; A_p and A_q
     come back unchanged at the indices their first rows name; each A_k
@@ -201,18 +202,12 @@ def intersection_algebra_expand(a_p, a_q, rank: int):
     for m in (_identity(r), *gens):
         if add(m[0]):
             words.append(m)
-    frontier = list(words)
-    while frontier and len(words) < r:
-        new = []
-        for m in frontier:
-            for g in gens:
-                for left, right in ((m, g), (g, m)):
-                    # the first row of a product is left[0] * right, so the
-                    # product is formed in full only when that row is new
-                    if add(_matmul([left[0]], right)[0]):
-                        words.append(_matmul(left, right, P))
-                        new.append(words[-1])
-        frontier = new
+    for m in words:  # grows while it is walked
+        for g in gens:
+            # the first row of g m is g[0] m, so the product is formed in
+            # full only when that row is new
+            if add(_matmul([g[0]], m)[0]):
+                words.append(_matmul(g, m, P))
     if len(words) != r:
         raise OrbitalError(
             f"intersection algebra has dimension {len(words)}, expected {r}"

@@ -9,6 +9,7 @@ every check against the bundled data passed, and the external files read.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -66,12 +67,17 @@ def on_generators(compute):
 
 
 def table1(data_dir):
-    """Table 1: xi(2A, 2A, C) as listed, and zero for every other C."""
+    """Table 1: xi(2A, 2A, C) as listed, and zero for every other C.  A
+    listed scaled value also counts the y in 2A with ay in C, so it must
+    equal Table 2's s1 summed over the orbitals of product class C."""
     from . import chartab  # the value parser, which no other target needs
     path = require(data_dir, CHARTABLE_FILE)
     t = chartab.load_character_table(path)
     want = expected("structure_constants")
     listed = {row["class"]: row for row in want["rows"]}
+    counts = Counter()
+    for o in orbital_metadata():
+        counts[o["product_class"]] += o["s1"]
     rows = []
     for name in [*listed, *(c.name for c in t.classes if c.name not in listed)]:
         xi = chartab.structure_constant_xi(t, "2A", "2A", name)
@@ -81,7 +87,7 @@ def table1(data_dir):
             scaled = xi * want["scale"]
             row["scaled"] = int(scaled) if scaled.denominator == 1 else None
             row["match"] = xi == Fraction(*listed[name]["xi"]) and (
-                scaled == listed[name]["scaled"]
+                scaled == listed[name]["scaled"] == counts[name]
             )
         rows.append(row)
     return {"rows": rows, "ok": all(r["match"] for r in rows)}, [path]
@@ -132,8 +138,10 @@ def collapsed(i: int):
 
 def _failures(mats: dict) -> dict:
     """What the computed A2 and/or A4 fail: the identities (rows sum to s_i,
-    s_j (A_i)_jk = s_k (A_i)_kj as i is self-paired), then the print."""
-    s = [o["s1"] for o in orbital_metadata()]
+    s_j (A_i)_jk = s_k (A_i)_kj as i is self-paired, and with both
+    matrices s_4 (A2)_{4,k} = s_2 (A4)_{2,k*}, 1-based), then the print."""
+    meta = orbital_metadata()
+    s = [o["s1"] for o in meta]
     broken = {}
     for name, m in mats.items():
         r, i = range(len(m)), int(name[1:]) - 1
@@ -141,6 +149,12 @@ def _failures(mats: dict) -> dict:
             broken.setdefault(name, []).append("row sums")
         if any(s[j] * m[j][k] != s[k] * m[k][j] for j in r for k in r):
             broken.setdefault(name, []).append("weighted symmetry")
+    if len(mats) == 2:
+        a2, a4 = mats["A2"], mats["A4"]
+        if [s[3] * x for x in a2[3]] != [
+            s[1] * a4[1][o["pair"] - 1] for o in meta
+        ]:
+            broken["A2 and A4"] = ["cross identity"]
     differs = [n for n, m in mats.items() if m != printed_matrix(n)]
     failed = {"broken_identities": broken, "differs_from_printed": differs}
     return {key: v for key, v in failed.items() if v}

@@ -51,19 +51,59 @@ class TestCompleteMapping:
         assert code == 1
         assert json.loads(out)["status"] == "budget-exhausted"
 
-    def test_emit_mapping(self, capsys, tmp_path):
-        target = tmp_path / "phi.json"
-        code, _, _ = run(
-            capsys,
-            "complete-mapping",
-            "--group",
-            "klein",
-            "--emit-mapping",
-            str(target),
+    @pytest.mark.parametrize("budget", ["-5", "-1"])
+    def test_negative_budget_exits_2(self, capsys, budget):
+        code, out, err = run(
+            capsys, "complete-mapping", "--group", "s4", "--budget", budget
+        )
+        assert code == 2
+        assert out == ""
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert errors == [
+            f"synchro complete-mapping: error: argument --budget: "
+            f"must be at least 0, not {budget}"
+        ]
+
+    @pytest.mark.parametrize(
+        "group, status", [("z3", "found"), ("z4", "not-found")]
+    )
+    def test_zero_budget_decides_at_the_root(self, capsys, group, status):
+        # odd order and the balance condition need no search node
+        code, out, _ = run(
+            capsys, "complete-mapping", "--group", group, "--budget", "0"
         )
         assert code == 0
-        data = json.loads(target.read_text())
-        assert sorted(data["phi"]) == [0, 1, 2, 3]
+        payload = json.loads(out)
+        assert (payload["status"], payload["nodes"]) == (status, 0)
+
+    def test_emit_mapping(self, capsys, tmp_path):
+        # the flag is gone: the payload's "phi" is what --phi reads
+        target = tmp_path / "phi.json"
+        code, out, err = run(
+            capsys, "complete-mapping", "--group", "klein",
+            "--emit-mapping", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+        assert not target.exists()
+
+    def test_output_round_trips_into_diagonal_phi(self, capsys, tmp_path):
+        # the README's pair: one group, the mapping passed through --output
+        mapping_file = tmp_path / "m.json"
+        code, _, _ = run(
+            capsys, "--output", str(mapping_file), "complete-mapping",
+            "--group", "z2 x z6",
+        )
+        assert code == 0
+        phi = json.loads(mapping_file.read_text())["phi"]
+        assert sorted(phi) == list(range(12))
+        code, out, _ = run(
+            capsys, "diagonal", "--group", "z2 x z6", "--n", "3",
+            "--color-odd", "--phi", str(mapping_file), "--verify",
+        )
+        assert code == 0
+        assert json.loads(out)["proper"] is True
 
 
 class TestDiagonal:
@@ -750,12 +790,13 @@ class TestDeterminismAndManifest:
         assert code == 0 and json.loads(out)["order"] == 3
         assert json.loads((tmp_path / "run.json").read_text())["inputs"] == {}
 
-    @pytest.mark.parametrize("overwrite", ["output", "emit-mapping"])
-    def test_manifest_digests_inputs_as_read(self, capsys, tmp_path, overwrite):
-        # the input file is overwritten by the run's own output; the
-        # manifest records the bytes that were read, not those written
+    @pytest.mark.parametrize("case", ["output", "group-file"])
+    def test_manifest_digests_inputs_as_read(self, capsys, tmp_path, case):
+        # --output overwrites the run's --phi file ("output") or its --group
+        # table file; the manifest records the bytes that were read, not
+        # those written
         manifest = tmp_path / "run.json"
-        if overwrite == "output":
+        if case == "output":
             source = tmp_path / "phi.json"
             source.write_text(json.dumps({"phi": [0, 1, 2]}))
             argv = ["--output", str(source), "--manifest", str(manifest),
@@ -764,8 +805,8 @@ class TestDeterminismAndManifest:
         else:
             source = tmp_path / "z5.grp"
             write_group_file(groups.make_group("z5"), source)
-            argv = ["--manifest", str(manifest), "complete-mapping",
-                    "--group", str(source), "--emit-mapping", str(source)]
+            argv = ["--output", str(source), "--manifest", str(manifest),
+                    "complete-mapping", "--group", str(source)]
         before = hashlib.sha256(source.read_bytes()).hexdigest()
         assert run(capsys, *argv)[0] == 0
         assert hashlib.sha256(source.read_bytes()).hexdigest() != before
@@ -920,30 +961,76 @@ class TestReproducePipeline:
         self, capsys, tmp_path, monkeypatch, bad
     ):
         # bad = 3 puts a nonzero constant on the fourth unlisted class
-        (tmp_path / reproduce.CHARTABLE_FILE).write_bytes(b"")
-        rows = reproduce.expected("structure_constants")["rows"]
-        listed = {row["class"]: Fraction(*row["xi"]) for row in rows}
-        unlisted = ["7A", "7B", "8A", "8B", "13A"]
-        table = SimpleNamespace(
-            classes=[SimpleNamespace(name=n) for n in [*listed, *unlisted]]
+        code, payload = table1_in(
+            capsys, tmp_path, monkeypatch,
+            lambda i: Fraction(int(i == bad), 7),
         )
-
-        def xi(t, c1, c2, c3):
-            assert t is table and (c1, c2) == ("2A", "2A")
-            if c3 in listed:
-                return listed[c3]
-            return Fraction(int(unlisted.index(c3) == bad), 7)
-
-        monkeypatch.setattr(
-            chartab, "load_character_table", lambda path: table
-        )
-        monkeypatch.setattr(chartab, "structure_constant_xi", xi)
-        code, payload = reproduce_in(capsys, tmp_path, "table1")
-        assert [r["class"] for r in payload["rows"]] == [*listed, *unlisted]
         mismatched = [r["class"] for r in payload["rows"] if not r["match"]]
-        assert mismatched == ([] if bad is None else [unlisted[bad]])
+        assert mismatched == ([] if bad is None else [UNLISTED[bad]])
         assert payload["ok"] is (bad is None)
         assert code == (0 if bad is None else 1)
+
+    @pytest.mark.parametrize("changed", ["s1", "scaled"])
+    def test_table1_checks_the_suborbit_sums(
+        self, capsys, tmp_path, monkeypatch, changed
+    ):
+        # the character table and the expected file agree with each other
+        # either way; only the orbitals of product class 2B can tell
+        if changed == "s1":
+            meta = reproduce.orbital_metadata()
+            meta[3]["s1"] += 1
+            monkeypatch.setattr(reproduce, "orbital_metadata", lambda: meta)
+        else:
+            want = reproduce.expected("structure_constants")
+            row = next(r for r in want["rows"] if r["class"] == "2B")
+            row["scaled"] += 1
+            xi = Fraction(row["scaled"], want["scale"])
+            row["xi"] = [xi.numerator, xi.denominator]
+            monkeypatch.setattr(reproduce, "expected", lambda what: want)
+        code, payload = table1_in(capsys, tmp_path, monkeypatch)
+        assert code == 1 and payload["ok"] is False
+        mismatched = [r["class"] for r in payload["rows"] if not r["match"]]
+        assert mismatched == ["2B"]
+
+    def test_entry_lists_checks_the_cross_identity(
+        self, capsys, tmp_path, j4_stubs
+    ):
+        # rows 2 and 3 of A4 (1-based) swapped: row 2 no longer matches
+        # s_4 (A2)_{4,k} = s_2 (A4)_{2,k*}
+        a4 = [list(r) for r in j4_stubs.matrices[3]]
+        a4[1], a4[2] = a4[2], a4[1]
+        j4_stubs.matrices[3] = tuple(map(tuple, a4))
+        code, payload = reproduce_in(capsys, tmp_path, "entry-lists")
+        assert code == 1 and payload["ok"] is False
+        assert payload["broken_identities"]["A2 and A4"] == ["cross identity"]
+        assert payload["differs_from_printed"] == ["A4"]
+
+
+UNLISTED = ["7A", "7B", "8A", "8B", "13A"]
+
+
+def table1_in(capsys, tmp_path, monkeypatch, unlisted_xi=lambda i: 0):
+    """Run `reproduce table1` on a stub character table whose classes are
+    the expected file's listed ones, with their expected xi(2A, 2A, C),
+    then UNLISTED, with xi(2A, 2A, UNLISTED[i]) = unlisted_xi(i)."""
+    (tmp_path / reproduce.CHARTABLE_FILE).write_bytes(b"")
+    rows = reproduce.expected("structure_constants")["rows"]
+    listed = {row["class"]: Fraction(*row["xi"]) for row in rows}
+    table = SimpleNamespace(
+        classes=[SimpleNamespace(name=n) for n in [*listed, *UNLISTED]]
+    )
+
+    def xi(t, c1, c2, c3):
+        assert t is table and (c1, c2) == ("2A", "2A")
+        if c3 in listed:
+            return listed[c3]
+        return Fraction(unlisted_xi(UNLISTED.index(c3)))
+
+    monkeypatch.setattr(chartab, "load_character_table", lambda path: table)
+    monkeypatch.setattr(chartab, "structure_constant_xi", xi)
+    code, payload = reproduce_in(capsys, tmp_path, "table1")
+    assert [r["class"] for r in payload["rows"]] == [*listed, *UNLISTED]
+    return code, payload
 
 
 # ---------------------------------------------------------------------------
@@ -1044,7 +1131,6 @@ def cli_argv(draw, d):
         argv += opt("--group", MAPPING_GROUPS, BAD_GROUPS + group_files)
         # always bounded: the default budget is 10^9
         argv += ["--budget", str(pick(st.integers(0, 10_000), [-1]))]
-        argv += opt("--emit-mapping", files("phi_out.json"), [str(d)], 3)
     elif command == "diagonal":
         argv += opt("--group", SMALL_GROUPS, BAD_GROUPS + group_files)
         n = pick(st.integers(3, 4), [-1, 0, 1, 2])

@@ -821,14 +821,19 @@ class TestMatrepCrossValidation:
 
 
 def test_matrep_import_leaves_chartab_unloaded():
-    # a fresh interpreter: the package imports its modules on first use
+    # a fresh interpreter: `import synchro` loads no submodule, importing
+    # matrep loads neither chartab nor mpmath, and `synchro.chartab` exists
+    # only once chartab itself is imported
     src = str(Path(matrep.__file__).parents[1])
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import synchro.matrep; "
-        "loaded = ('synchro.chartab' in sys.modules, 'mpmath' in sys.modules); "
-        "import synchro; print(*loaded, callable(synchro.chartab.load_character_table))"
+        f"import sys; sys.path.insert(0, {src!r}); import synchro; "
+        "print([m for m in sys.modules if m.startswith('synchro.')]); "
+        "import synchro.matrep; "
+        "print('synchro.chartab' in sys.modules, 'mpmath' in sys.modules, "
+        "hasattr(synchro, 'chartab')); "
+        "import synchro.chartab; print(hasattr(synchro, 'chartab'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout == "False False True\n"
+    assert out.stdout == "[]\nFalse False False\nTrue\n"

@@ -299,6 +299,26 @@ class TestIntersectionAlgebra:
         for want, got in zip(mats, recovered):
             assert got.matrix == want.matrix
 
+    @pytest.mark.parametrize("spec", ["s3", "q8", "d8", "a4", "s4"])
+    def test_recovers_a_non_commutative_regular_algebra(self, spec):
+        # in a regular action each suborbit is one point, so the matrices
+        # of the two generators span the group algebra, which does not
+        # commute: only left products are formed, in either order
+        action = regular_perm_group(make_group(spec))
+        dec = orbital_decomposition(action, 0)
+        mats = [
+            collapsed_adjacency(action, dec, i).matrix for i in range(dec.rank)
+        ]
+        p, q = (dec.suborbit_of[s(0)] for s in action.generators)
+
+        def product(x, y):
+            return [[sum(map(math.prod, zip(r, c))) for c in zip(*y)] for r in x]
+
+        assert product(mats[p], mats[q]) != product(mats[q], mats[p])
+        for a, b in ((p, q), (q, p)):
+            got = intersection_algebra_expand(mats[a], mats[b], dec.rank)
+            assert [ca.matrix for ca in got] == mats
+
     def test_wrong_rank_rejected(self, a5_pairs_decomposition):
         action, dec = a5_pairs_decomposition
         mats = [collapsed_adjacency(action, dec, i) for i in range(3)]
