@@ -177,13 +177,22 @@ def _tabulate(spec: DiagonalGraph, last) -> Coloring:
 
 
 def verify_proper_coloring(spec: DiagonalGraph, coloring: Coloring):
-    """None when proper; otherwise the first monochromatic edge in
-    vertex-rank order."""
-    color = coloring.color_of
+    """None when proper; otherwise the first monochromatic edge (u, v),
+    u ranking below v, by the rank of u, then v in `neighbours` order.
+    Each edge is built once, from its lower end u: in coordinate k the
+    values t > t_k, then the translates x*u with x*t2 > t2, which are
+    those above u since x*t != t for x != 1 (and x = 1 fails the test)."""
+    T, color = spec.T, coloring.color_of
     for coords in spec.vertices():
-        u = spec.rank(coords)
-        for nb in spec.neighbours(coords):
-            v = spec.rank(nb)
-            if v > u and color[u] == color[v]:
-                return (coords, nb)
+        cu = color[spec.rank(coords)]
+        for k in range(spec.n - 1):
+            for t in range(coords[k] + 1, T.order):
+                nb = coords[:k] + (t,) + coords[k + 1 :]
+                if color[spec.rank(nb)] == cu:
+                    return (coords, nb)
+        for x in range(T.order):
+            if T.mul(x, coords[0]) > coords[0]:
+                nb = tuple(T.mul(x, t) for t in coords)
+                if color[spec.rank(nb)] == cu:
+                    return (coords, nb)
     return None

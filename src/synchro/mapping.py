@@ -67,8 +67,8 @@ def find_complete_mapping(
     counts option selections.  Groups whose product of all elements
     falls outside the derived subgroup G' are refuted at the root (Hall
     and Paige's balance condition); G/G' is abelian, so the product may
-    be taken in index order.  Budget exhaustion is a distinct
-    outcome, never conflated with a completed refutation.
+    be taken in index order.  Budget exhaustion, after `budget`
+    selections, is never conflated with a completed refutation.
     """
     n = g.order
     if n % 2 == 1:
@@ -125,10 +125,10 @@ def find_complete_mapping(
         if not stack[-1]:
             stack.pop()
             continue
+        if nodes == budget:
+            return SearchResult(SearchStatus.BUDGET_EXHAUSTED, None, nodes)
         r = stack[-1].pop()
         nodes += 1
-        if nodes > budget:
-            return SearchResult(SearchStatus.BUDGET_EXHAUSTED, None, nodes)
         path.append((r, select(r)))
         if not cols:
             phi = [0] * n

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +147,100 @@ class TestColorings:
         c = diagonal_coloring_odd(spec, phi)
         assert verify_proper_coloring(spec, c) is None
         assert c.num_colors() == 5
+
+
+def walk_both_ends(spec, coloring):
+    """The reference walk: every neighbour of every vertex from
+    `DiagonalGraph.neighbours`, keeping only the upper end."""
+    color = coloring.color_of
+    for coords in spec.vertices():
+        u = spec.rank(coords)
+        for nb in spec.neighbours(coords):
+            v = spec.rank(nb)
+            if v > u and color[u] == color[v]:
+                return (coords, nb)
+    return None
+
+
+def base_coloring(spec, kind):
+    if kind == "rainbow":  # n = 2: the graph is complete on T
+        return Coloring(spec, tuple(range(spec.T.order)))
+    if kind == "even":
+        return diagonal_coloring_even(spec)
+    return diagonal_coloring_odd(spec, find_complete_mapping(spec.T).mapping)
+
+
+def recolour(coloring, changes, seed):
+    """The colouring with `changes` distinct vertices given another colour."""
+    rng = random.Random(seed)
+    colors = list(coloring.color_of)
+    order = coloring.spec.T.order
+    for r in rng.sample(range(len(colors)), changes):
+        colors[r] = rng.choice([c for c in range(order) if c != colors[r]])
+    return Coloring(coloring.spec, tuple(colors))
+
+
+# abelian and non-abelian T, n from 2 to 5, even and odd colourings
+ORACLE_CASES = [
+    ("z5", 2, "rainbow"),
+    ("s3", 2, "rainbow"),
+    ("z3", 3, "odd"),
+    ("q8", 3, "odd"),
+    ("klein", 4, "even"),
+    ("z4", 4, "even"),
+    ("s3", 4, "even"),
+    ("q8", 4, "even"),
+    ("z3", 5, "odd"),
+    ("d8", 5, "odd"),
+]
+
+
+@pytest.fixture(
+    scope="module", params=ORACLE_CASES, ids=lambda c: "-".join(map(str, c))
+)
+def oracle_case(request):
+    spec_name, n, kind = request.param
+    spec = DiagonalGraph(make_group(spec_name), n)
+    return base_coloring(spec, kind)
+
+
+class TestVerifierOracle:
+    def test_proper_coloring(self, oracle_case):
+        assert walk_both_ends(oracle_case.spec, oracle_case) is None
+        assert verify_proper_coloring(oracle_case.spec, oracle_case) is None
+
+    @pytest.mark.parametrize("changes", [1, 2, 5])
+    def test_recoloured_matches_the_walk(self, oracle_case, changes):
+        spec = oracle_case.spec
+        for seed in range(5):
+            bad = recolour(oracle_case, changes, seed)
+            expected = walk_both_ends(spec, bad)
+            assert verify_proper_coloring(spec, bad) == expected, seed
+
+    def test_recolourings_break_both_rules(self):
+        # the oracle cases reach violations through A1 and through A2
+        rules = set()
+        for spec_name, n, kind in ORACLE_CASES[2:]:
+            good = base_coloring(DiagonalGraph(make_group(spec_name), n), kind)
+            for seed in range(5):
+                bad = recolour(good, 5, seed)
+                u, v = verify_proper_coloring(good.spec, bad)
+                rules.add(good.spec.adjacency(u, v)[0])
+        assert rules == {"A1", "A2"}
+
+    def test_each_edge_built_once(self, oracle_case, monkeypatch):
+        # one rank for the vertex itself, one for each upper neighbour
+        ranked = []
+        rank = DiagonalGraph.rank
+        monkeypatch.setattr(
+            DiagonalGraph,
+            "rank",
+            lambda self, coords: ranked.append(coords) or rank(self, coords),
+        )
+        spec = oracle_case.spec
+        assert verify_proper_coloring(spec, oracle_case) is None
+        edges = spec.num_vertices * spec.degree_of_vertex() // 2
+        assert len(ranked) == spec.num_vertices + edges
 
 
 class TestHamming:

@@ -93,7 +93,23 @@ class TestSearch:
         r = find_complete_mapping(make_group("d16"), budget=10)
         assert r.status is SearchStatus.BUDGET_EXHAUSTED
         assert r.mapping is None
-        assert r.nodes > 10
+        # nodes counts the selections made, and exhaustion makes budget many
+        assert r.nodes == 10
+
+    def test_zero_budget_exhausts_before_any_selection(self):
+        # s4 passes the balance test, so only a search could decide it
+        r = find_complete_mapping(make_group("s4"), budget=0)
+        assert (r.status, r.nodes) == (SearchStatus.BUDGET_EXHAUSTED, 0)
+
+    def test_budget_of_exactly_the_selections_made_suffices(self):
+        g = make_group("z2 x q8")
+        r = find_complete_mapping(g)
+        assert r.status is SearchStatus.FOUND and r.nodes > 1
+        assert find_complete_mapping(g, budget=r.nodes) == r
+        short = find_complete_mapping(g, budget=r.nodes - 1)
+        assert (short.status, short.nodes) == (
+            SearchStatus.BUDGET_EXHAUSTED, r.nodes - 1
+        )
 
     def test_search_agrees_with_criterion(self, small_catalog):
         for spec, g in small_catalog:
