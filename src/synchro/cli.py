@@ -107,6 +107,8 @@ def _diagonal_phi(args, T) -> mapping.CompleteMapping:
 
 
 def cmd_diagonal(args) -> tuple[dict, int]:
+    if args.phi is not None and not args.color_odd:
+        raise witness.WitnessError("--phi needs --color-odd")
     T = _load_group(args.group, args)
     spec = diagonal.DiagonalGraph(T, args.n)
     payload = {
@@ -156,7 +158,9 @@ def cmd_diagonal(args) -> tuple[dict, int]:
 
 
 def cmd_witness(args) -> tuple[dict, int]:
-    needs = "P" if args.mode == "sync" else "B"
+    needs, unused = ("P", "B") if args.mode == "sync" else ("B", "P")
+    if getattr(args, unused) is not None:
+        raise witness.WitnessError(f"witness {args.mode} takes no --{unused}")
     if getattr(args, needs) is None:
         raise witness.WitnessError(f"witness {args.mode} needs --{needs}")
     g = _load_group(args.group, args)
@@ -263,6 +267,8 @@ def cmd_matrep(args) -> tuple[dict, int]:
 
 def cmd_chartab(args) -> tuple[dict, int]:
     from . import chartab  # the value parser, which no other subcommand needs
+    if args.scale is not None and not args.xi:
+        raise chartab.CharacterTableError("--scale needs --xi")
     t = chartab.load_character_table(_input(args, args.table))
     payload: dict = {"table": args.table, "group_order": t.group_order}
     if args.xi:

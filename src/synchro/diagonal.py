@@ -83,18 +83,22 @@ class DiagonalGraph:
 
     def neighbours(self, u):
         """All neighbours of u, in deterministic order: A1 cliques by
-        coordinate, then the A2 (left translate) clique."""
+        coordinate, then the A2 (left translate) clique, which at n = 2
+        is the A1 clique again and is not repeated."""
         T = self.T
         for k in range(self.n - 1):
             for t in range(T.order):
                 if t != u[k]:
                     yield u[:k] + (t,) + u[k + 1 :]
+        if self.n == 2:
+            return
         for x in range(T.order):
             if x != T.identity:
                 yield tuple(T.mul(x, t) for t in u)
 
     def degree_of_vertex(self) -> int:
-        return self.n * (self.T.order - 1)
+        # n cliques of size |T| through each vertex, all one clique at n = 2
+        return (1 if self.n == 2 else self.n) * (self.T.order - 1)
 
 
 def canonical_cliques(spec: DiagonalGraph, vertex) -> list[list[tuple]]:
@@ -180,9 +184,11 @@ def verify_proper_coloring(spec: DiagonalGraph, coloring: Coloring):
     """None when proper; otherwise the first monochromatic edge (u, v),
     u ranking below v, by the rank of u, then v in `neighbours` order.
     Each edge is built once, from its lower end u: in coordinate k the
-    values t > t_k, then the translates x*u with x*t2 > t2, which are
-    those above u since x*t != t for x != 1 (and x = 1 fails the test)."""
+    values t > t_k, then (n > 2) the translates x*u with x*t2 > t2, which
+    are those above u since x*t != t for x != 1 (and x = 1 fails the
+    test).  At n = 2 the translates are the A1 neighbours again."""
     T, color = spec.T, coloring.color_of
+    translates = range(T.order) if spec.n > 2 else ()
     for coords in spec.vertices():
         cu = color[spec.rank(coords)]
         for k in range(spec.n - 1):
@@ -190,7 +196,7 @@ def verify_proper_coloring(spec: DiagonalGraph, coloring: Coloring):
                 nb = coords[:k] + (t,) + coords[k + 1 :]
                 if color[spec.rank(nb)] == cu:
                     return (coords, nb)
-        for x in range(T.order):
+        for x in translates:
             if T.mul(x, coords[0]) > coords[0]:
                 nb = tuple(T.mul(x, t) for t in coords)
                 if color[spec.rank(nb)] == cu:

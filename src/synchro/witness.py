@@ -73,11 +73,14 @@ def canonical_partition(P) -> tuple[frozenset[int], ...]:
 
 def verify_sync_witness(g: PermGroup, w: SyncWitness):
     """None when every translate of A is a transversal of P; otherwise
-    the first (element, part) failure.  Elements are enumerated
-    breadth-first, without building a multiplication table."""
+    the first (element, part) failure.  P must partition the group's
+    points.  Elements are enumerated breadth-first, without building a
+    multiplication table."""
     union = frozenset().union(*w.P)
     if len(union) != sum(len(p) for p in w.P):
         raise WitnessError("partition parts overlap")
+    if union != frozenset(range(g.degree)):
+        raise WitnessError(f"partition does not cover the {g.degree} points")
     for perm in enumerate_elements(g, cap=10**6):
         Ag = {perm(a) for a in w.A}
         for part in w.P:

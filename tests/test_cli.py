@@ -27,6 +27,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def fresh_python(*args, timeout=60):
+    """Run `python *args` in a fresh interpreter that imports synchro from
+    this tree."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        timeout=timeout, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestCompleteMapping:
     def test_z3_found(self, capsys):
         code, out, _ = run(capsys, "complete-mapping", "--group", "z3")
@@ -45,11 +56,17 @@ class TestCompleteMapping:
         assert "phi" not in payload
 
     def test_budget_exhaustion_exit_code(self, capsys):
-        code, out, _ = run(
-            capsys, "complete-mapping", "--group", "d16", "--budget", "10"
-        )
-        assert code == 1
-        assert json.loads(out)["status"] == "budget-exhausted"
+        # s4 passes the balance test, so a budget of 0 selects nothing
+        for group, budget in (("d16", 10), ("s4", 0)):
+            code, out, _ = run(
+                capsys, "complete-mapping", "--group", group,
+                "--budget", str(budget),
+            )
+            assert code == 1
+            payload = json.loads(out)
+            assert (payload["status"], payload["nodes"]) == (
+                "budget-exhausted", budget
+            )
 
     @pytest.mark.parametrize("budget", ["-5", "-1"])
     def test_negative_budget_exits_2(self, capsys, budget):
@@ -243,16 +260,28 @@ class TestWitness:
         assert code == 1
         assert json.loads(out)["ok"] is False
 
-    @pytest.mark.parametrize("mode", ["sync", "sep", "factorise", "pipeline"])
-    def test_missing_second_argument(self, capsys, mode):
+    @pytest.mark.parametrize("mode, extra, message", [
         # each used to leak a TypeError traceback and exit 1
+        pytest.param("sync", [], "needs --P", id="sync"),
+        pytest.param("sep", [], "needs --B", id="sep"),
+        pytest.param("factorise", [], "needs --B", id="factorise"),
+        pytest.param("pipeline", [], "needs --B", id="pipeline"),
+        # the flag the mode does not read was once ignored
+        pytest.param("sync", ["--B", "[0,2]"], "takes no --B", id="sync-B"),
+        pytest.param("sep", ["--P", "p.json"], "takes no --P", id="sep-P"),
+        pytest.param("factorise", ["--P", "p.json"], "takes no --P",
+                     id="factorise-P"),
+        pytest.param("pipeline", ["--P", "p.json"], "takes no --P",
+                     id="pipeline-P"),
+    ])
+    def test_missing_second_argument(self, capsys, mode, extra, message):
         code, out, err = run(
-            capsys, "witness", mode, "--group", "z4", "--A", "[0,1]"
+            capsys, "witness", mode, "--group", "z4", "--A", "[0,1]",
+            *extra,
         )
-        flag = "--P" if mode == "sync" else "--B"
         assert code == 2
         assert out == ""
-        assert err == f"error: witness {mode} needs {flag}\n"
+        assert err == f"error: witness {mode} {message}\n"
 
     @pytest.mark.parametrize(
         "points", ["5", "[[0]]", "[0,4]", "[-1,0]", '["0",1]']
@@ -279,6 +308,18 @@ class TestWitness:
         )
         assert code == 2
         assert err == "error: partition has an empty part\n"
+
+    def test_non_covering_partition_rejected(self, capsys, tmp_path):
+        # every translate of A meets each part once, but 2 and 5 are in none
+        parts = tmp_path / "parts.json"
+        parts.write_text("[[0, 3], [1, 4]]")
+        code, out, err = run(
+            capsys, "witness", "sync", "--group", "z6", "--A", "[0,1,2]",
+            "--P", str(parts),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: partition does not cover the 6 points\n"
 
 
 class TestOrbitals:
@@ -569,6 +610,13 @@ ENTRY_POINT_ERRORS = {
         2, lambda tmp: ["diagonal", "--group", "z2", "--n", "80", "--color-even"]
     ),
     "s8": (2, lambda tmp: ["complete-mapping", "--group", "s8"]),
+    "phi-without-color-odd": (2, lambda tmp: [
+        "diagonal", "--group", "z3", "--n", "4", "--color-even",
+        "--phi", str(tmp / "absent.json"),
+    ]),
+    "scale-without-xi": (2, lambda tmp: [
+        "chartab", "--table", str(bundled_table_path("s3")), "--scale", "6",
+    ]),
 }
 
 
@@ -580,13 +628,7 @@ class TestErrorPaths:
         code, make_argv = ENTRY_POINT_ERRORS[case]
         argv = make_argv(tmp_path)
         before = sorted(tmp_path.iterdir())
-        src = str(Path(cli.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "synchro.cli", *argv],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = fresh_python("-m", "synchro.cli", *argv)
         assert proc.returncode == code
         assert proc.stdout == ""
         errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
@@ -600,27 +642,18 @@ class TestErrorPaths:
     def test_cli_import_leaves_mpmath_unloaded(self):
         # a fresh interpreter: only `chartab` and `reproduce table1` import
         # the chartab module, and nothing imports mpmath
-        src = str(Path(cli.__file__).parents[1])
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); import synchro.cli; "
+        out = fresh_python(
+            "-c", "import sys, synchro.cli; "
             "print('synchro.chartab' in sys.modules, 'mpmath' in sys.modules)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert out.stdout == "False False\n"
 
     def test_cli_import_leaves_matrep_and_orbitals_unloaded(self):
         # a fresh interpreter: `matrep`, `orbitals` and `reproduce`'s
         # targets import them when they run, not when cli loads
-        src = str(Path(cli.__file__).parents[1])
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); import synchro.cli; "
-            "print('synchro.matrep' in sys.modules, "
-            "'synchro.orbitals' in sys.modules)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        out = fresh_python(
+            "-c", "import sys, synchro.cli; print('synchro.matrep' in "
+            "sys.modules, 'synchro.orbitals' in sys.modules)"
         )
         assert out.stdout == "False False\n"
 
@@ -709,6 +742,72 @@ class TestErrorPaths:
             assert "not found" in err
 
 
+# run in a fresh interpreter: each subcommand once through cli.main, then
+# the top-level modules loaded since start-up (site's own are the baseline)
+STDLIB_ONLY = """
+import sys
+before = set(sys.modules)
+import contextlib, io, json
+from synchro import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([cli.main(argv), out.getvalue()])
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+foreign = loaded - set(sys.stdlib_module_names) - {"synchro"}
+print(json.dumps({"runs": runs, "foreign": sorted(foreign)}))
+"""
+
+
+class TestWholeProcess:
+    def test_every_subcommand_runs_on_the_standard_library(self, tmp_path):
+        # the test extra's packages (mpmath among them) are installed here,
+        # so loading one is what fails
+        gens = tmp_path / "gens.txt"
+        swap = BitMatrix.from_entries(2, [[0, 1], [1, 0]])
+        write_matrix_file([swap, BitMatrix.identity(2, 2)], gens)
+        commands = [
+            ["complete-mapping", "--group", "a4"],
+            ["diagonal", "--group", "z3", "--n", "3", "--color-odd", "--verify"],
+            ["witness", "pipeline", "--group", "z4", "--A", "[0,3]",
+             "--B", "[0,2]"],
+            ["orbitals", "--group", "z2 x s3", "--wilcox"],
+            ["matrep", "--gens", str(gens), "--verify-standard",
+             "--fingerprint", "a", "b"],
+            # the a5 table's irrational 5a/5b values
+            ["chartab", "--table", str(bundled_table_path("a5")),
+             "--hat", "5a", "5a", "5b", "--xi", "5a", "5a", "5b",
+             "--scale", "60"],
+            ["reproduce", "table1", "--data-dir", str(tmp_path)],
+        ]
+        proc = fresh_python("-c", STDLIB_ONLY, json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["foreign"] == []
+        codes = [code for code, _ in result["runs"]]
+        # 2x2 matrices fail the standard-generator orders; no J4 data
+        assert codes == [0, 0, 0, 0, 1, 0, 3]
+        chartab_payload = json.loads(result["runs"][5][1])
+        assert chartab_payload["hat"]["value"] == 12
+        assert chartab_payload["xi"]["scaled"] == 12
+
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(["-c", "from synchro import groups; "
+                      "assert groups.make_group('a7').order == 2520"],
+                     0, id="a7-table"),
+        pytest.param(["-m", "synchro.cli", "diagonal", "--group", "s3",
+                      "--n", "100000000"], 2, id="diagonal-n-10^8"),
+        pytest.param(["-m", "synchro.cli", "complete-mapping", "--group",
+                      "z1500"], 0, id="z1500-mapping"),
+    ])
+    def test_within_ten_seconds(self, argv, code):
+        # whole processes, each well under a second on a 2-vCPU host: the
+        # a7 table (2520^2 entries) from its generators' rows, the vertex
+        # count of n = 10^8 never formed, a 1500^2 table decided at the root
+        assert fresh_python(*argv, timeout=10).returncode == code
+
+
 class TestDeterminismAndManifest:
     def test_output_bytes_stable(self, capsys, tmp_path):
         out1 = tmp_path / "a.json"
@@ -775,6 +874,21 @@ class TestDeterminismAndManifest:
         assert json.loads(manifest.read_text())["inputs"] == {
             path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
             for path in files
+        }
+
+    def test_manifest_records_a_repeated_factor_file_once(
+        self, capsys, tmp_path
+    ):
+        manifest = tmp_path / "run.json"
+        path = tmp_path / "z3.grp"
+        write_group_file(groups.make_group("z3"), path)
+        code, out, _ = run(
+            capsys, "--manifest", str(manifest), "complete-mapping",
+            "--group", f"{path} x {path}",
+        )
+        assert code == 0 and json.loads(out)["order"] == 9
+        assert json.loads(manifest.read_text())["inputs"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest()
         }
 
     def test_manifest_skips_a_file_named_like_a_catalog_group(

@@ -27,6 +27,12 @@ def s3_4():
     return DiagonalGraph(make_group("s3"), 4)
 
 
+@pytest.fixture(scope="module")
+def s3_2():
+    # one coordinate: the A1 and A2 cliques through a vertex coincide
+    return DiagonalGraph(make_group("s3"), 2)
+
+
 class TestGraph:
     def test_sizes(self, z3_3, s3_4):
         assert z3_3.num_vertices == 9
@@ -53,16 +59,17 @@ class TestGraph:
         assert z3_3.adjacency((0, 0), (1, 2)) is None
         assert z3_3.adjacency((0, 0), (0, 0)) is None
 
-    def test_neighbour_iterator_matches_predicate(self, z3_3):
-        for u in z3_3.vertices():
-            nbs = set(z3_3.neighbours(u))
-            assert len(nbs) == 6
-            for v in z3_3.vertices():
-                assert (v in nbs) == z3_3.adjacent(u, v)
+    def test_neighbour_iterator_matches_predicate(self, z3_3, s3_2):
+        for spec, degree in ((z3_3, 6), (s3_2, 5)):
+            for u in spec.vertices():
+                nbs = list(spec.neighbours(u))
+                assert len(nbs) == len(set(nbs)) == degree
+                for v in spec.vertices():
+                    assert (v in nbs) == spec.adjacent(u, v)
 
-    def test_degree_matches_neighbour_count(self, s3_4):
-        u = (1, 2, 3)
-        assert len(set(s3_4.neighbours(u))) == s3_4.degree_of_vertex()
+    def test_degree_matches_neighbour_count(self, s3_4, s3_2):
+        for spec, u in ((s3_4, (1, 2, 3)), (s3_2, (4,))):
+            assert len(set(spec.neighbours(u))) == spec.degree_of_vertex()
 
     @given(st.integers(min_value=0, max_value=215))
     def test_rank_unrank_roundtrip(self, r):

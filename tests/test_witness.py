@@ -67,6 +67,13 @@ class TestVerification:
         image = {perm(a) for a in w.A}
         assert len(image & part) != 1
 
+    def test_non_covering_partition_rejected(self):
+        # every translate {g, g+1, g+2} meets each part once, but the
+        # parts leave out 2 and 5
+        w = make_sync_witness([0, 1, 2], [[0, 3], [1, 4]])
+        with pytest.raises(WitnessError, match="does not cover the 6 points"):
+            verify_sync_witness(regular_perm_group(cyclic_group(6)), w)
+
     def test_z4_sep_witness(self, z4, z4_regular):
         w = make_sep_witness([0, 3], [0, 2], 4)
         assert verify_sep_witness(z4_regular, w) is None
