@@ -92,7 +92,7 @@ def cmd_complete_mapping(args) -> tuple[dict, int]:
 
 
 def _diagonal_phi(args, T) -> mapping.CompleteMapping:
-    if args.phi:
+    if args.phi is not None:
         data = json.loads(Path(_input(args, args.phi)).read_text())
         phi = data.get("phi") if isinstance(data, dict) else None
         # diagonal_coloring_odd verifies it is a complete mapping

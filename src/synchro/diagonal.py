@@ -103,16 +103,18 @@ class DiagonalGraph:
 
 def canonical_cliques(spec: DiagonalGraph, vertex) -> list[list[tuple]]:
     """The n cliques of size |T| through the vertex: n-1 from varying a
-    single coordinate, one from left translation."""
+    single coordinate, one from left translation.  At n = 2 both are the
+    whole vertex set T, so the one clique is returned once."""
     T = spec.T
     cliques = []
     for k in range(spec.n - 1):
         cliques.append(
             [vertex[:k] + (t,) + vertex[k + 1 :] for t in range(T.order)]
         )
-    cliques.append(
-        [tuple(T.mul(x, t) for t in vertex) for x in range(T.order)]
-    )
+    if spec.n > 2:
+        cliques.append(
+            [tuple(T.mul(x, t) for t in vertex) for x in range(T.order)]
+        )
     for cl in cliques:
         for a, b in itertools.combinations(cl, 2):
             if not spec.adjacent(a, b):

@@ -54,7 +54,12 @@ with rep 0 in C(a), is one pair.  The breadth-first closure streams
 each orbit element with the tables that form its images; those tables
 also serve the element's fingerprints and are dropped before the next
 element, so a collapsed matrix keeps tables for O(rank) involutions,
-not O(|orbit|).
+not O(|orbit|).  Forming m' = h^-1 m h also gives m'^(h^-1) = m, so
+an image under an involutory conjugator, or under one whose inverse is
+listed too, marks its way back as known and that return image is never
+formed.  Every orbit element is conjugate to a, so its echelon basis is
+complete once rank(1 + a) rows of 1 + m have landed and the elimination
+stops there.
 """
 
 from __future__ import annotations
@@ -393,10 +398,11 @@ class Fingerprint:
         return (self.d1, self.d2, self.d1p, self.d2p)
 
 
-def _insert(pivots: list[int], vectors, above: int) -> int:
+def _insert(pivots: list[int], vectors, above: int, stop: int = -1) -> int:
     """Reduce each vector against the pivot list (slot k holds the row of
     bit length k, or 0) and file what is left in its slot; returns how
-    many vectors landed in a slot above `above`."""
+    many vectors landed in a slot above `above`, stopping once `stop`
+    have."""
     landed = 0
     for v in vectors:
         while row := pivots[v.bit_length()]:
@@ -405,6 +411,8 @@ def _insert(pivots: list[int], vectors, above: int) -> int:
             k = v.bit_length()
             pivots[k] = v
             landed += k > above
+            if landed == stop:
+                break
     return landed
 
 
@@ -418,11 +426,13 @@ class _Involution(NamedTuple):
     shifted: list[int]
 
     @staticmethod
-    def of(rows, times=None) -> "_Involution":
-        """x's data from its rows, unchecked; `times` is v -> vx if built."""
+    def of(rows, times=None, rank=-1) -> "_Involution":
+        """x's data from its rows, unchecked; `times` is v -> vx if built.
+        Given rank(1 + x), the elimination stops once that many rows of
+        1 + x have landed, as the rest lie in their span."""
         n = len(rows)
         pivots = [0] * (n + 1)
-        _insert(pivots, (r ^ 1 << i for i, r in enumerate(rows)), 0)
+        _insert(pivots, (r ^ 1 << i for i, r in enumerate(rows)), 0, rank)
         basis = [v for v in pivots if v]
         times = times or _times(_subset_xor_tables(rows))
         return _Involution(basis, times, [0] * n + [v << n for v in pivots])
@@ -490,30 +500,49 @@ def _orbit(seed: BitMatrix, conjugators, kernels=None):
     """Close {seed} under m -> h^-1 m h for each conjugator, breadth
     first in listed order, yielding each element m with v -> vm, which
     then forms m's images; each h's v -> vh is built once or passed in
-    `kernels`.  `seen` holds packed rows and only the queue holds
-    matrices, so a streaming consumer holds the frontier, not the orbit."""
+    `kernels`.  `seen` maps packed rows to a bit mask of the conjugators
+    whose image of that element is already known, and only the queue
+    holds matrices, so a streaming consumer holds the frontier, not the
+    orbit.
+
+    Forming m' = h^-1 m h also gives m'^(h^-1) = m, so m' is marked for
+    every listed conjugator equal to h^-1 and that return image is never
+    formed.  h^-1 is h when h h = 1, tested with h's own kernel, and
+    h.inverse() otherwise.  A skipped image is one already seen, so the
+    order of the orbit is that of the plain closure."""
     dim = seed.dim
     if any(h.dim != dim for h in conjugators):
         raise MatrixError("shape mismatch")
     kernels = kernels or [_times(_subset_xor_tables(h.rows)) for h in conjugators]
-    by_kernels = [(h.inverse().rows, ht) for h, ht in zip(conjugators, kernels)]
+    ident = [1 << i for i in range(dim)]
+    steps = []  # (h^-1's rows, v -> vh, h's bit, the bits of the h_j = h^-1)
+    for k, (h, ht) in enumerate(zip(conjugators, kernels)):
+        hinv = h.rows if list(map(ht, h.rows)) == ident else h.inverse().rows
+        back = sum(1 << j for j, g in enumerate(conjugators) if g.rows == hinv)
+        steps.append((hinv, ht, 1 << k, back))
     width = (dim + 7) // 8
 
     def packed(rows):
         return b"".join([r.to_bytes(width, "big") for r in rows])
 
-    queue = deque([seed])
-    seen = {packed(seed.rows)}
+    key = packed(seed.rows)
+    queue = deque([(seed, key)])
+    seen = {key: 0}
     while queue:
-        m = queue.popleft()
+        m, key = queue.popleft()
         mt = _times(_subset_xor_tables(m.rows))
         yield m, mt
-        for hinv_rows, ht in by_kernels:
+        known = seen[key]
+        for hinv_rows, ht, bit, back in steps:
+            if known & bit:
+                continue
             rows = list(map(ht, map(mt, hinv_rows)))
             key = packed(rows)
-            if key not in seen:
-                seen.add(key)
-                queue.append(BitMatrix(2, dim, rows))
+            if key in seen:
+                seen[key] |= back
+            else:
+                seen[key] = back
+                queue.append((BitMatrix(2, dim, rows), key))
 
 
 def orbit_closure(seed: BitMatrix, conjugators) -> list[BitMatrix]:
@@ -577,7 +606,8 @@ def collapsed_adjacency_matrep(
     matrix = [[0] * rank for _ in range(rank)]
     pairs = list(zip(matrix, row_data))
     for size, (m, mt) in enumerate(_orbit(seed, conjugators, kernels), 1):
-        data = _Involution.of(m.rows, mt)  # conjugate to a: no check
+        # conjugate to a: no check, and rank(1 + m) = rank(1 + a)
+        data = _Involution.of(m.rows, mt, len(row_data[0].basis))
         for row, aj in pairs if size == 1 else pairs[1:]:
             fp = _fingerprint(aj, data)
             try:

@@ -3,17 +3,20 @@
 `--seconds 0 --trace 1` makes one untraced and one traced pass, and
 bench/run.py prints `result digest` only when the two agree.  A change
 that moves a digest updates it here and argues the move in CHANGES.md.
-The traced pass writes its spans under .bench_trace/.
+Each run is of a copy of bench/, src/ and BENCHMARK.json in a temporary
+directory, so the traced pass writes its spans under that copy's
+.bench_trace/, not into the checkout.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = {
     "certify-small":
         "117a10cb2514d36da9ade8dd65a1bc8e264f1a6541e533d6101ab4ddc81fbd72",
@@ -25,9 +28,14 @@ DIGESTS = {
 
 
 @pytest.mark.parametrize("workload", list(DIGESTS))
-def test_seed_1_digest(workload):
+def test_seed_1_digest(workload, tmp_path):
+    for tree in ("bench", "src"):
+        shutil.copytree(ROOT / tree, tmp_path / tree,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", workload, "--seed", "1",
+        [sys.executable, str(tmp_path / "bench" / "run.py"),
+         "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "1"],
         capture_output=True, text=True, timeout=120,
     )
@@ -36,3 +44,4 @@ def test_seed_1_digest(workload):
     assert json.loads(lines[-1])["correct"] is True
     digest = [ln.split()[2] for ln in lines if ln.startswith("result digest ")]
     assert digest == [DIGESTS[workload]]
+    assert (tmp_path / ".bench_trace" / f"{workload}-seed1.json").is_file()

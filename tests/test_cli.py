@@ -176,6 +176,16 @@ class TestDiagonal:
         assert code == 2
         assert "error" in err
 
+    def test_empty_phi_path_rejected(self, capsys):
+        # an empty path is a path that cannot be read, not an absent --phi
+        code, out, err = run(
+            capsys, "diagonal", "--group", "z3", "--n", "3", "--color-odd",
+            "--phi", "",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv",
         [

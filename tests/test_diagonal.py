@@ -89,6 +89,13 @@ class TestCliques:
         assert len(cliques) == s3_4.n
         assert all(len(c) == 6 for c in cliques)
 
+    @pytest.mark.parametrize("u", [(0,), (3,)])
+    def test_one_clique_at_n_2(self, s3_2, u):
+        # the coordinate and translation cliques are both the vertex set
+        cliques = canonical_cliques(s3_2, u)
+        assert cliques == [[(t,) for t in range(6)]]
+        assert set(cliques[0]) - {u} == set(s3_2.neighbours(u))
+
     def test_neighbourhood_splits_into_cliques(self, s3_4):
         u = (2, 4, 1)
         cliques = canonical_cliques(s3_4, u)

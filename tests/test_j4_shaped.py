@@ -167,3 +167,18 @@ def test_every_collapsed_matrix_against_the_oracle(standin):
         assert all(
             s[j] * m[j][k] == s[k] * m[k][j] for j in range(7) for k in range(7)
         )
+
+
+def test_rank_stopped_basis_is_the_full_basis(standin):
+    # every orbit element is conjugate to a, so stopping its elimination
+    # at rank(1 + a) = 20 leaves the pivots of the full elimination
+    a = standin["a"]
+    rank = len(matrep._Involution.of(a.rows).basis)
+    assert rank == 20
+    elements = 0
+    for t in standin["reps"]:
+        for m, mt in matrep._orbit(a.conjugate_by(t), standin["conjugators"]):
+            full = matrep._Involution.of(m.rows, mt)
+            assert matrep._Involution.of(m.rows, mt, rank) == full
+            elements += 1
+    assert elements == sum(standin["sizes"]) == 945

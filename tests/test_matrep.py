@@ -468,6 +468,16 @@ class TestFingerprint:
         for u, v in ((x, y), (y, x)):
             assert fingerprint(u, v).as_tuple() == reference_fingerprint(u, v)
 
+    def test_insert_stops_after_stop_landings(self):
+        # 3 reduces to 0 and does not count; the vector after the second
+        # landing is left unread
+        vectors = iter([1, 2, 3, 4, 8])
+        pivots = [0] * 5
+        assert matrep._insert(pivots, vectors, 0, 2) == 2
+        assert (pivots, next(vectors)) == ([0, 1, 2, 0, 0], 3)
+        assert matrep._insert(pivots, vectors, 0) == 2
+        assert pivots == [0, 1, 2, 4, 8]
+
     def test_identity_pair(self):
         x = perm_matrix(parse_permutation("(0 1)", 5))
         fp = fingerprint(x, x)
@@ -522,6 +532,54 @@ class TestOrbitClosure:
             orbit = orbit_closure(seed, conj)
             assert len(orbit) == points * (points - 1) // 2
             assert orbit == naive_closure(seed, conj)
+
+    # the 48-element suborbit of x = (0 1)(2 3)(4 5)(6 7) on the
+    # fixed-point-free involutions of S8, under C(x) = C2 wr S4 as the
+    # benchmark's stand-in lists it (two involutions and a block 4-cycle),
+    # as (h, u, h^-1) and as (h, u), with no involution; |u| = |h| = 4
+    WREATH = ["(0 1)", "(0 2)(1 3)", "(0 2 4 6)(1 3 5 7)"]
+    PAIRED = ["(0 2 4 6)(1 3 5 7)", "(0 2 1 3)", "(0 6 4 2)(1 7 5 3)"]
+    NO_INVOLUTION = ["(0 2 4 6)(1 3 5 7)", "(0 2 1 3)"]
+
+    # images formed / images in the plain closure, and inverse() calls
+    @pytest.mark.parametrize("words, images, inversions", [
+        (WREATH, (96, 144), 1),
+        (PAIRED, (98, 144), 3),
+        (NO_INVOLUTION, (96, 96), 2),
+    ], ids=["wreath", "paired", "no-involution"])
+    def test_return_images_are_not_formed(self, monkeypatch, words, images,
+                                          inversions):
+        dim = 8
+        c = random_invertible(random.Random(dim), dim)
+        seed, *conj = (
+            perm_matrix(parse_permutation(w, dim)).conjugate_by(c)
+            for w in ("(1 2)(3 4)(5 6)(7 0)", *words)
+        )
+        plain = naive_closure(seed, conj)
+        calls = {"times": 0, "inverse": 0}
+
+        def counting(h):
+            times = matrep._times(matrep._subset_xor_tables(h.rows))
+
+            def counted(v):
+                calls["times"] += 1
+                return times(v)
+            return counted
+
+        inverse = BitMatrix.inverse
+
+        def counted_inverse(m):
+            calls["inverse"] += 1
+            return inverse(m)
+
+        monkeypatch.setattr(BitMatrix, "inverse", counted_inverse)
+        orbit = [m for m, _ in matrep._orbit(seed, conj, list(map(counting, conj)))]
+        monkeypatch.undo()
+        assert orbit == plain == orbit_closure(seed, conj) and len(orbit) == 48
+        # each conjugator's kernel maps its own rows once: the h h = 1 test
+        formed = calls["times"] // dim - len(conj)
+        assert (formed, len(orbit) * len(conj)) == images
+        assert calls["inverse"] == inversions
 
     def test_streaming_holds_the_frontier_not_the_orbit(self):
         # 378 transpositions at dim 28: a streaming count keeps the queue
