@@ -26,6 +26,10 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_RESOURCE = 4
 
+# the options that name a file or directory, where "" would name the cwd
+PATH_FLAGS = ("--output", "--manifest", "--phi", "--emit-witness", "--P",
+              "--gens", "--table", "--data-dir")
+
 
 def _input(args, path):
     """Record an input file for the manifest and return its path, for the
@@ -61,6 +65,13 @@ def _points(value, n: int, what: str) -> list[int]:
     ):
         raise witness.WitnessError(f"{what} must be a JSON array of points < {n}")
     return value
+
+
+def _orbital(number: int, rank: int) -> int:
+    # --collapsed counts from 1, the library from 0
+    if not 1 <= number <= rank:
+        raise ValueError(f"no orbital {number} in rank {rank} (1..{rank})")
+    return number - 1
 
 
 def _load_group(spec: str, args) -> groups.FiniteGroup:
@@ -220,7 +231,8 @@ def cmd_orbitals(args) -> tuple[dict, int]:
         "pairing": [p + 1 for p in dec.pairing],
     }
     if args.collapsed is not None:
-        ca = orbitals.collapsed_adjacency(perm_g, dec, args.collapsed - 1)
+        i = _orbital(args.collapsed, dec.rank)
+        ca = orbitals.collapsed_adjacency(perm_g, dec, i)
         payload["collapsed"] = [list(r) for r in ca.matrix]
     if args.wilcox:
         # one collapsed matrix at a time: each is rank x rank
@@ -236,13 +248,14 @@ def cmd_orbitals(args) -> tuple[dict, int]:
 
 def cmd_matrep(args) -> tuple[dict, int]:
     from . import matrep
+    collapse = None
+    if args.collapsed is not None:
+        rank = len(reproduce.orbital_metadata())
+        collapse = reproduce.collapsed(_orbital(args.collapsed, rank))
     mats = matrep.parse_matrix_file(_input(args, args.gens))
     if len(mats) < 2:
         raise matrep.MatrixError("generator file must contain two matrices")
     a, b = mats[0], mats[1]
-    collapse = None
-    if args.collapsed is not None:
-        collapse = reproduce.collapsed(args.collapsed - 1)
     payload: dict = {"gens": args.gens, "dim": a.dim, "p": a.p}
     status = EXIT_OK
     # a collapsed matrix, like reproduce A2, needs the order checks first
@@ -392,6 +405,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     args.argv, args.inputs = argv, {}
     try:
+        for flag in PATH_FLAGS:
+            if getattr(args, flag[2:].replace("-", "_"), None) == "":
+                raise ValueError(f"{flag} needs a path, not an empty string")
         payload, status = args.func(args)
         _emit(payload, args)
         return status

@@ -3,7 +3,8 @@
 Vertices are (n-1)-tuples over a finite group T.  Two vertices are
 adjacent when they differ in exactly one coordinate (rule A1) or when
 one is a common left translate of the other (rule A2).  The graph is
-kept implicit (adjacency predicate + neighbour iterator) so that large
+kept implicit: an adjacency predicate, and the canonical cliques through
+each vertex, whose other members are its neighbours, so that large
 vertex sets stay checkable by streaming edges.
 
 For n > 2 the graph carries a proper colouring with |T| colours, built
@@ -62,39 +63,33 @@ class DiagonalGraph:
     def vertices(self):
         return itertools.product(range(self.T.order), repeat=self.n - 1)
 
-    def adjacency(self, u, v):
-        """Rule tag for the pair: ('A1', coordinate index i in 2..n),
-        ('A2', witness x) or None."""
-        T = self.T
-        diff = [k for k in range(self.n - 1) if u[k] != v[k]]
-        if len(diff) == 1:
-            return ("A1", diff[0] + 2)
-        if not diff:
-            return None
-        x = T.mul(v[0], T.inv(u[0]))
-        if x != T.identity and all(
-            v[k] == T.mul(x, u[k]) for k in range(1, self.n - 1)
-        ):
-            return ("A2", x)
-        return None
-
     def adjacent(self, u, v) -> bool:
-        return self.adjacency(u, v) is not None
-
-    def neighbours(self, u):
-        """All neighbours of u, in deterministic order: A1 cliques by
-        coordinate, then the A2 (left translate) clique, which at n = 2
-        is the A1 clique again and is not repeated."""
+        """Rule A1: u and v differ in exactly one coordinate.  Rule A2:
+        v = x*u for some x != 1, which is then x = v[0] u[0]^-1 (x = 1
+        would give v = u)."""
         T = self.T
-        for k in range(self.n - 1):
-            for t in range(T.order):
-                if t != u[k]:
-                    yield u[:k] + (t,) + u[k + 1 :]
-        if self.n == 2:
-            return
-        for x in range(T.order):
-            if x != T.identity:
-                yield tuple(T.mul(x, t) for t in u)
+        diff = sum(a != b for a, b in zip(u, v))
+        if diff < 2:
+            return diff == 1
+        x = T.mul(v[0], T.inv(u[0]))
+        return all(v[k] == T.mul(x, u[k]) for k in range(1, self.n - 1))
+
+    def cliques(self, u) -> list[list[tuple]]:
+        """The canonical cliques of size |T| through u: for each coordinate
+        in turn, u with that coordinate varied over T (rule A1), then the
+        translates x*u for x in T (rule A2).  At n = 2 the translates are
+        the one coordinate clique again and are left out."""
+        T = self.T
+        cliques = [[u[:k] + (t,) + u[k + 1 :] for t in range(T.order)]
+                   for k in range(self.n - 1)]
+        if self.n > 2:
+            cliques.append([tuple(T.mul(x, t) for t in u) for x in range(T.order)])
+        return cliques
+
+    def neighbours(self, u) -> list[tuple]:
+        """Every neighbour of u once: the members other than u of
+        `cliques(u)`, in that order.  No edge lies in two cliques."""
+        return [v for clique in self.cliques(u) for v in clique if v != u]
 
     def degree_of_vertex(self) -> int:
         # n cliques of size |T| through each vertex, all one clique at n = 2
@@ -102,19 +97,9 @@ class DiagonalGraph:
 
 
 def canonical_cliques(spec: DiagonalGraph, vertex) -> list[list[tuple]]:
-    """The n cliques of size |T| through the vertex: n-1 from varying a
-    single coordinate, one from left translation.  At n = 2 both are the
-    whole vertex set T, so the one clique is returned once."""
-    T = spec.T
-    cliques = []
-    for k in range(spec.n - 1):
-        cliques.append(
-            [vertex[:k] + (t,) + vertex[k + 1 :] for t in range(T.order)]
-        )
-    if spec.n > 2:
-        cliques.append(
-            [tuple(T.mul(x, t) for t in vertex) for x in range(T.order)]
-        )
+    """`spec.cliques(vertex)`, each checked pairwise against `adjacent`:
+    n cliques of size |T|, one at n = 2."""
+    cliques = spec.cliques(vertex)
     for cl in cliques:
         for a, b in itertools.combinations(cl, 2):
             if not spec.adjacent(a, b):

@@ -58,29 +58,28 @@ def make_sep_witness(A, B, num_points: int) -> SepWitness:
     return SepWitness(A, B)
 
 
-def canonical_partition(P) -> tuple[frozenset[int], ...]:
-    """Disjointness/cover check plus a deterministic part order (least
-    element first)."""
+def canonical_partition(P, points=None) -> tuple[frozenset[int], ...]:
+    """The parts of P, least element first, once checked: no part is
+    empty, no element lies in two parts (the first repeat is named), and
+    when `points` is given the parts cover exactly those points."""
     parts = [frozenset(p) for p in P]
     if not all(parts):
         raise WitnessError("partition has an empty part")
-    total = sum(len(p) for p in parts)
-    union = frozenset().union(*parts) if parts else frozenset()
-    if total != len(union):
-        raise WitnessError("partition parts overlap")
+    covered: set[int] = set()
+    for part in parts:
+        if dup := covered & part:
+            raise WitnessError(f"element {min(dup)} lies in two parts")
+        covered |= part
+    if points is not None and covered != set(points):
+        raise WitnessError(f"partition does not cover the {len(points)} points")
     return tuple(sorted(parts, key=min))
 
 
 def verify_sync_witness(g: PermGroup, w: SyncWitness):
-    """None when every translate of A is a transversal of P; otherwise
-    the first (element, part) failure.  P must partition the group's
-    points.  Elements are enumerated breadth-first, without building a
-    multiplication table."""
-    union = frozenset().union(*w.P)
-    if len(union) != sum(len(p) for p in w.P):
-        raise WitnessError("partition parts overlap")
-    if union != frozenset(range(g.degree)):
-        raise WitnessError(f"partition does not cover the {g.degree} points")
+    """None when every translate of A is a transversal of P, which must
+    partition the group's points; otherwise the first (element, part)
+    failure.  Elements are enumerated breadth-first, without a table."""
+    canonical_partition(w.P, range(g.degree))
     for perm in enumerate_elements(g, cap=10**6):
         Ag = {perm(a) for a in w.A}
         for part in w.P:
@@ -132,22 +131,9 @@ def witness_to_factorisation(
     return ExactFactorisation(H, A_inv, frozenset(w.B))
 
 
-def factorisation_to_partition(
-    f: ExactFactorisation,
-) -> tuple[frozenset[int], ...]:
+def factorisation_to_partition(f: ExactFactorisation) -> tuple[frozenset[int], ...]:
     """The partition {Ab : b in B} of H induced by an exact
-    factorisation; exactness is re-checked via disjointness."""
-    parts = []
-    covered: set[int] = set()
-    for b in sorted(f.B):
-        part = frozenset(f.H.mul(a, b) for a in f.A)
-        dup = covered & part
-        if dup:
-            raise WitnessError(
-                f"element {min(dup)} appears in two parts; not exact"
-            )
-        covered |= part
-        parts.append(part)
-    if len(covered) != f.H.order:
-        raise WitnessError("parts do not cover the group")
-    return canonical_partition(parts)
+    factorisation; exactness is re-checked by `canonical_partition`, the
+    parts taken in the order of b."""
+    parts = (frozenset(f.H.mul(a, b) for a in f.A) for b in sorted(f.B))
+    return canonical_partition(parts, range(f.H.order))

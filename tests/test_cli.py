@@ -355,6 +355,13 @@ class TestOrbitals:
         assert out == ""
         assert err.startswith("error: no orbital") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("number", ["0", "7"])
+    def test_collapsed_error_echoes_the_number_given(self, capsys, number):
+        code, _, err = run(capsys, "orbitals", "--group", "s3",
+                           "--collapsed", number)
+        assert code == 2
+        assert err == f"error: no orbital {number} in rank 6 (1..6)\n"
+
     @pytest.mark.parametrize("group", ["s3", "d8", "a4", "q8"])
     def test_regular_flag_is_the_default(self, capsys, group):
         argv = ["orbitals", "--group", group, "--wilcox"]
@@ -425,6 +432,15 @@ class TestMatrep:
         assert code == 2
         assert out == ""
         assert err.startswith("error: no orbital") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("number", ["0", "21"])
+    def test_collapsed_error_echoes_the_number_given(self, capsys, tmp_path,
+                                                    number):
+        # refused before the generator file, which does not exist, is read
+        code, _, err = run(capsys, "matrep", "--gens",
+                           str(tmp_path / "absent.txt"), "--collapsed", number)
+        assert code == 2
+        assert err == f"error: no orbital {number} in rank 20 (1..20)\n"
 
     def test_collapsed_runs_the_order_checks_first(self, capsys, tmp_path):
         # a pair of 4x4 permutation matrices with o(ab) = 2: J4's words
@@ -628,6 +644,23 @@ ENTRY_POINT_ERRORS = {
         "chartab", "--table", str(bundled_table_path("s3")), "--scale", "6",
     ]),
 }
+# an empty path for each option that takes one: refused by the option's
+# name before any file is read or written
+EMPTY_PATHS = [
+    ["--output", "", "complete-mapping", "--group", "z3"],
+    ["--manifest", "", "complete-mapping", "--group", "z3"],
+    ["diagonal", "--group", "z3", "--n", "3", "--color-odd", "--phi", ""],
+    ["diagonal", "--group", "z3", "--n", "3", "--color-odd",
+     "--emit-witness", ""],
+    ["witness", "sync", "--group", "z4", "--A", "[0,1]", "--P", ""],
+    ["matrep", "--gens", ""],
+    ["chartab", "--table", ""],
+    ["reproduce", "table1", "--data-dir", ""],
+]
+ENTRY_POINT_ERRORS.update(
+    (f"empty-{argv[argv.index('') - 1][2:]}", (2, lambda tmp, argv=argv: argv))
+    for argv in EMPTY_PATHS
+)
 
 
 class TestErrorPaths:
@@ -643,6 +676,8 @@ class TestErrorPaths:
         assert proc.stdout == ""
         errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
         assert len(errors) == 1
+        if "" in argv:  # an empty path is named by its option
+            assert argv[argv.index("") - 1] in errors[0]
         assert "Traceback" not in proc.stderr
         assert sorted(tmp_path.iterdir()) == before  # no file written
 
@@ -1242,11 +1277,12 @@ def cli_argv(draw, d):
     def files(*names):
         return [str(d / n) for n in names]
 
-    # every file option also draws a missing file, an empty one and a
-    # directory
-    no_file = files("missing.txt", "empty.txt") + [str(d)]
-    argv = opt("--output", files("out.json"), files("no/out.json") + [str(d)], 6)
-    argv += opt("--manifest", files("manifest.json"), [str(d)], 6)
+    # every file option also draws a missing file, an empty one, a
+    # directory and an empty path
+    no_file = files("missing.txt", "empty.txt") + [str(d), ""]
+    argv = opt("--output", files("out.json"),
+               files("no/out.json") + [str(d), ""], 6)
+    argv += opt("--manifest", files("manifest.json"), [str(d), ""], 6)
     command = pick(["complete-mapping", "diagonal", "witness", "orbitals",
                     "matrep", "chartab", "reproduce"])
     argv.append(command)
@@ -1265,7 +1301,7 @@ def cli_argv(draw, d):
         argv += flag("--verify")
         argv += opt("--phi", files("phi.json"), no_file + files(
             "badphi.json", "wrongphi.json", "list.json", "bad.json"), 2)
-        argv += opt("--emit-witness", files("witness.json"), [str(d)], 3)
+        argv += opt("--emit-witness", files("witness.json"), [str(d), ""], 3)
     elif command == "witness":
         mode = pick(["sync", "sep", "factorise", "pipeline"], ["bogus"])
         argv += [mode] + opt("--group", ["z4", "klein"],
@@ -1305,7 +1341,7 @@ def cli_argv(draw, d):
     else:
         argv.append(pick(list(reproduce.TARGETS), ["table3"]))
         argv += opt("--data-dir", files(
-            "emptydir", "f3data", "smalldata", "emptychars", "nodir"), odds=2)
+            "emptydir", "f3data", "smalldata", "emptychars", "nodir"), [""], 2)
     return argv
 
 
@@ -1318,5 +1354,7 @@ def test_cli_contract_fuzz(fuzz_files, data):
         code = cli.main(argv)
     assert code in {0, 1, 2, 3, 4}, (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+    if any(f in cli.PATH_FLAGS and v == "" for f, v in zip(argv, argv[1:])):
+        assert (code, out.getvalue()) == (2, ""), argv
     if out.getvalue():
         json.loads(out.getvalue())

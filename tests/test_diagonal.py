@@ -45,19 +45,16 @@ class TestGraph:
             DiagonalGraph(cyclic_group(3), 1)
 
     def test_single_coordinate_rule(self, z3_3):
-        tag = z3_3.adjacency((0, 0), (1, 0))
-        assert tag == ("A1", 2)
-        tag = z3_3.adjacency((0, 0), (0, 2))
-        assert tag == ("A1", 3)
+        assert z3_3.adjacent((0, 0), (1, 0))
+        assert z3_3.adjacent((0, 0), (0, 2))
 
     def test_translate_rule(self, z3_3):
-        tag = z3_3.adjacency((0, 0), (1, 1))
-        assert tag == ("A2", 1)
-        assert z3_3.adjacency((0, 0), (2, 2)) == ("A2", 2)
+        assert z3_3.adjacent((0, 0), (1, 1))
+        assert z3_3.adjacent((0, 0), (2, 2))
 
     def test_non_adjacent(self, z3_3):
-        assert z3_3.adjacency((0, 0), (1, 2)) is None
-        assert z3_3.adjacency((0, 0), (0, 0)) is None
+        assert not z3_3.adjacent((0, 0), (1, 2))
+        assert not z3_3.adjacent((0, 0), (0, 0))
 
     def test_neighbour_iterator_matches_predicate(self, z3_3, s3_2):
         for spec, degree in ((z3_3, 6), (s3_2, 5)):
@@ -70,6 +67,27 @@ class TestGraph:
     def test_degree_matches_neighbour_count(self, s3_4, s3_2):
         for spec, u in ((s3_4, (1, 2, 3)), (s3_2, (4,))):
             assert len(set(spec.neighbours(u))) == spec.degree_of_vertex()
+
+    def test_neighbours_keep_their_enumeration(self, z3_3, s3_2, s3_4):
+        # the order neighbours had as an iterator: each coordinate's other
+        # values in turn, then (n > 2) the translates x*u for x != 1
+        for spec in (z3_3, s3_2, s3_4):
+            T = spec.T
+            for u in spec.vertices():
+                expected = [
+                    u[:k] + (t,) + u[k + 1 :]
+                    for k in range(spec.n - 1)
+                    for t in range(T.order)
+                    if t != u[k]
+                ]
+                if spec.n > 2:
+                    expected += [
+                        tuple(T.mul(x, t) for t in u)
+                        for x in range(T.order)
+                        if x != T.identity
+                    ]
+                assert spec.neighbours(u) == expected
+                assert spec.cliques(u) == canonical_cliques(spec, u)
 
     @given(st.integers(min_value=0, max_value=215))
     def test_rank_unrank_roundtrip(self, r):
@@ -232,14 +250,17 @@ class TestVerifierOracle:
             assert verify_proper_coloring(spec, bad) == expected, seed
 
     def test_recolourings_break_both_rules(self):
-        # the oracle cases reach violations through A1 and through A2
+        # the oracle cases reach violations through A1 and through A2; an
+        # A1 edge is at Hamming distance 1, an A2 edge (n > 2) at n - 1
         rules = set()
         for spec_name, n, kind in ORACLE_CASES[2:]:
             good = base_coloring(DiagonalGraph(make_group(spec_name), n), kind)
             for seed in range(5):
                 bad = recolour(good, 5, seed)
                 u, v = verify_proper_coloring(good.spec, bad)
-                rules.add(good.spec.adjacency(u, v)[0])
+                assert good.spec.adjacent(u, v)
+                hamming = sum(a != b for a, b in zip(u, v))
+                rules.add("A1" if hamming == 1 else "A2")
         assert rules == {"A1", "A2"}
 
     def test_each_edge_built_once(self, oracle_case, monkeypatch):
@@ -259,8 +280,10 @@ class TestVerifierOracle:
 
 class TestHamming:
     def test_dropping_translate_rule_gives_hamming(self, s3_4):
+        # a neighbour is in a coordinate (A1) clique iff it is at Hamming
+        # distance 1; the last clique holds the translates (A2)
         for u in itertools.islice(s3_4.vertices(), 30):
+            coordinate = set().union(*s3_4.cliques(u)[:-1])
             for v in s3_4.neighbours(u):
-                tag = s3_4.adjacency(u, v)
                 hamming = sum(a != b for a, b in zip(u, v)) == 1
-                assert (tag[0] == "A1") == hamming
+                assert (v in coordinate) == hamming

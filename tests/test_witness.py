@@ -11,6 +11,7 @@ from synchro.groups import (
 )
 from synchro.witness import (
     ExactFactorisation,
+    SyncWitness,
     WitnessError,
     canonical_partition,
     factorisation_to_partition,
@@ -53,6 +54,18 @@ class TestConstruction:
         with pytest.raises(WitnessError):
             canonical_partition([[0, 1], [1, 2]])
 
+    def test_overlap_names_the_repeated_element(self):
+        with pytest.raises(WitnessError, match="element 3 lies in two parts"):
+            canonical_partition([[0, 3], [1, 2], [3, 4]], range(5))
+
+    def test_non_covering_points_rejected(self):
+        with pytest.raises(WitnessError, match="does not cover the 5 points"):
+            canonical_partition([[0, 3], [1, 2]], range(5))
+        with pytest.raises(WitnessError, match="does not cover the 4 points"):
+            canonical_partition([[0, 3], [1, 2], [4]], range(4))
+        assert canonical_partition([[0, 3], [1, 2]], range(4)) == (
+            frozenset([0, 3]), frozenset([1, 2]))
+
 
 class TestVerification:
     def test_z4_sync_witness(self, z4, z4_regular):
@@ -73,6 +86,12 @@ class TestVerification:
         w = make_sync_witness([0, 1, 2], [[0, 3], [1, 4]])
         with pytest.raises(WitnessError, match="does not cover the 6 points"):
             verify_sync_witness(regular_perm_group(cyclic_group(6)), w)
+
+    def test_empty_part_raises(self, z4_regular):
+        # built directly, past make_sync_witness's check
+        w = SyncWitness(frozenset([0, 1]), (frozenset([0, 1, 2, 3]), frozenset()))
+        with pytest.raises(WitnessError, match="empty part"):
+            verify_sync_witness(z4_regular, w)
 
     def test_z4_sep_witness(self, z4, z4_regular):
         w = make_sep_witness([0, 3], [0, 2], 4)
@@ -110,6 +129,18 @@ class TestTransfers:
     def test_inexact_factorisation_rejected(self, z4):
         f = ExactFactorisation(z4, frozenset([0, 2]), frozenset([0, 2]))
         with pytest.raises(WitnessError):
+            factorisation_to_partition(f)
+
+    def test_overlapping_factorisation_names_the_element(self, z4):
+        # {0, 1} * {0, 1}: 1 = 1 + 0 = 0 + 1
+        f = ExactFactorisation(z4, frozenset([0, 1]), frozenset([0, 1]))
+        with pytest.raises(WitnessError, match="element 1 lies in two parts"):
+            factorisation_to_partition(f)
+
+    def test_non_covering_factorisation_rejected(self, z4):
+        # {0, 1} * {0}: disjoint, but 2 and 3 are left out
+        f = ExactFactorisation(z4, frozenset([0, 1]), frozenset([0]))
+        with pytest.raises(WitnessError, match="does not cover the 4 points"):
             factorisation_to_partition(f)
 
     def test_full_round_trip(self, z4, z4_regular):
